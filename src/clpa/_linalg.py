@@ -22,15 +22,15 @@ def rank_of_sparse(vectors, field: Field) -> int:
         for k, a in v.items():
             row[index[k]] = a
         rows.append(row)
-    return _row_reduce(rows, field)
+    return len(_reduce(rows, field))
 
 
-def _row_reduce(rows, field: Field) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def _reduce(rows, field: Field) -> list:
+    """Gauss-Jordan elimination of the rows in place; the pivot columns."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -41,10 +41,10 @@ def _row_reduce(rows, field: Field) -> int:
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
 
 
 def nullspace_basis(rows, field: Field):
@@ -53,23 +53,7 @@ def nullspace_basis(rows, field: Field):
         return []
     m = [list(r) for r in rows]
     ncols = len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.one / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
+    pivots = _reduce(m, field)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

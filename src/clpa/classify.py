@@ -260,19 +260,8 @@ def monomial_independence(
     vectors = []
     for m in monos:
         img = evaluate_monomial(m, gmap.images)
-        vec: dict = {}
-        for bi, block in enumerate(img.blocks):
-            alg = block.algebra
-            for i in range(alg.size):
-                for j in range(alg.size):
-                    entry = block.entry(i, j)
-                    if alg.kind == "field":
-                        if entry:
-                            vec[(bi, i, j, 0)] = entry
-                    else:
-                        for k, a in entry.terms:
-                            vec[(bi, i, j, k)] = a
-        vectors.append(vec)
+        vectors.append({(bi,) + unit: a for bi, block in enumerate(img.blocks)
+                        for unit, a in block.terms.items()})
     rank = rank_of_sparse(vectors, gmap.ctx.field)
     return rank == len(monos), len(monos), rank
 

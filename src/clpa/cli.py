@@ -46,9 +46,8 @@ def _add_common(sub):
 
 def cmd_classify(args) -> int:
     obj = _load_graph(args.graph)
-    field = field_from_spec(args.field)
     sig = classify_object(obj)
-    gmap = build_generator_map(obj, sig, field=field)
+    gmap = build_generator_map(obj, sig, field=args.field)
     if args.json:
         payload = signature_to_json(sig)
         payload["blocks"] = [
@@ -100,8 +99,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_relgraph(args) -> int:
     obj = _load_graph(args.graph)
-    field = field_from_spec(args.field)
-    rep = reports_mod.relgraph_verify(obj, field)
+    rep = reports_mod.relgraph_verify(obj, args.field)
     rel = relative_graph(obj)
     if args.json:
         _emit_json(
@@ -201,6 +199,8 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.n < 1:
+        raise ClpaError(f"chain length --n must be at least 1, got {args.n}")
     obj = _load_graph(args.graph)
     facts = predicates(obj.graph)
     if args.kind == "cancellation":
@@ -282,8 +282,7 @@ def cmd_iso(args) -> int:
 
 def cmd_eval(args) -> int:
     obj = _load_graph(args.graph)
-    field = field_from_spec(args.field)
-    ctx = AlgebraContext(obj, field)
+    ctx = AlgebraContext(obj, args.field)
     result = parse_expression(args.expression, ctx)
     if args.json:
         _emit_json(
@@ -362,6 +361,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = field_from_spec(args.field)
         return args.func(args)
     except ClassificationBug as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)

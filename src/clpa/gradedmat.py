@@ -4,7 +4,8 @@ A shift vector (g_1, ..., g_n) grades the n x n matrices by declaring the
 (i, j) entry of internal degree d to be homogeneous of degree d + g_i - g_j;
 the involution is the entry-wise involution composed with transposition.
 Over the base field entries are scalars (internal degree 0); over a Laurent
-ring of period n the entry t^k has internal degree k*n.
+ring of period n the entry t^k has internal degree k*n.  An element is stored
+sparsely, as the coefficients of its matrix units e_ij t^k.
 
 The classification invariant :class:`MatricialSignature` collects such blocks
 in a canonical form: shifts are normalized (for Laurent blocks up to circular
@@ -46,55 +47,22 @@ class GradedMatrixAlgebra:
         elif self.period is not None:
             raise ValueError("field kind carries no period")
 
-    # -- entries -------------------------------------------------------------
-
-    def entry_zero(self):
-        if self.kind == "field":
-            return self.base.zero
-        return LaurentPoly.zero_poly(self.period, self.base)
-
-    def entry_scalar(self, a: Scalar):
-        if self.kind == "field":
-            return a
-        return LaurentPoly.constant(a, self.period, self.base)
-
-    def entry_t(self, k: int):
-        if self.kind == "field":
-            if k != 0:
-                raise ValueError("no t in a field block")
-            return self.base.one
-        return LaurentPoly.t_power(k, self.period, self.base)
-
-    def _entry_parts(self, entry):
-        """(internal degree, scalar) parts of one entry."""
-        if self.kind == "field":
-            return [(0, entry)] if entry else []
-        return [(k * self.period, a) for k, a in entry.terms]
-
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "GradedMatrix":
-        z = self.entry_zero()
-        return GradedMatrix(self, tuple(tuple(z for _ in range(self.size))
-                                        for _ in range(self.size)))
+        return GradedMatrix(self, {})
 
     def unit(self, i: int, j: int, tpow: int = 0, coeff: Optional[Scalar] = None) -> "GradedMatrix":
         """The matrix unit e_ij (times t^tpow for Laurent blocks); 0-indexed."""
-        a = self.base.one if coeff is None else coeff
-        entry = self.entry_t(tpow)
-        if self.kind == "field":
-            entry = entry * a
-        else:
-            entry = entry.scale(a)
-        rows = [[self.entry_zero() for _ in range(self.size)] for _ in range(self.size)]
-        rows[i][j] = entry
-        return GradedMatrix(self, tuple(tuple(r) for r in rows))
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError(f"unit ({i}, {j}) outside a size-{self.size} block")
+        if self.kind == "field" and tpow != 0:
+            raise ValueError("no t in a field block")
+        u = GradedMatrix(self, {(i, j, tpow): self.base.one})
+        return u if coeff is None else u.scale(coeff)
 
     def identity(self) -> "GradedMatrix":
-        rows = [[self.entry_zero() for _ in range(self.size)] for _ in range(self.size)]
-        for i in range(self.size):
-            rows[i][i] = self.entry_scalar(self.base.one)
-        return GradedMatrix(self, tuple(tuple(r) for r in rows))
+        return GradedMatrix(self, {(i, i, 0): self.base.one for i in range(self.size)})
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
         d = 0 if self.kind == "field" else tpow * self.period
@@ -121,112 +89,104 @@ def component_dim(algebra: GradedMatrixAlgebra, delta: int) -> int:
                if (delta - g[i] + g[j]) % n == 0)
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
-    """A matrix over the declared base (scalar or Laurent entries)."""
+def _nonzero(terms: dict) -> dict:
+    return {u: a for u, a in terms.items() if a}
 
-    algebra: GradedMatrixAlgebra
-    entries: tuple
+
+class GradedMatrix:
+    """A finite sum of matrix units: ``terms`` maps (i, j, k) to the nonzero
+    coefficient of e_ij t^k (k = 0 in field blocks)."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: GradedMatrixAlgebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
 
     def _check(self, other: "GradedMatrix") -> None:
         if not isinstance(other, GradedMatrix):
             raise TypeError(f"expected GradedMatrix, got {type(other).__name__}")
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatch("matrices live in different graded algebras")
 
+    def __eq__(self, other):
+        if not isinstance(other, GradedMatrix):
+            return NotImplemented
+        return self.algebra == other.algebra and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.algebra, frozenset(self.terms.items())))
+
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        """The (i, j) entry: a scalar, or a LaurentPoly in Laurent blocks."""
+        alg = self.algebra
+        if alg.kind == "field":
+            return self.terms.get((i, j, 0), alg.base.zero)
+        return LaurentPoly(alg.period, tuple(
+            (k, a) for (r, c, k), a in self.terms.items() if (r, c) == (i, j)), alg.base)
 
     def __add__(self, other):
         self._check(other)
-        n = self.algebra.size
-        return GradedMatrix(self.algebra, tuple(
-            tuple(self.entries[i][j] + other.entries[i][j] for j in range(n))
-            for i in range(n)))
+        out = dict(self.terms)
+        for u, b in other.terms.items():
+            a = out.get(u)
+            out[u] = b if a is None else a + b
+        return GradedMatrix(self.algebra, _nonzero(out))
 
     def __sub__(self, other):
         self._check(other)
-        n = self.algebra.size
-        return GradedMatrix(self.algebra, tuple(
-            tuple(self.entries[i][j] - other.entries[i][j] for j in range(n))
-            for i in range(n)))
+        out = dict(self.terms)
+        for u, b in other.terms.items():
+            a = out.get(u)
+            out[u] = -b if a is None else a - b
+        return GradedMatrix(self.algebra, _nonzero(out))
 
     def __mul__(self, other):
         self._check(other)
-        n = self.algebra.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.algebra.entry_zero()
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return GradedMatrix(self.algebra, tuple(rows))
+        rows: dict = {}
+        for (j, l, k), b in other.terms.items():
+            rows.setdefault(j, []).append((l, k, b))
+        out: dict = {}
+        for (i, j, k1), a in self.terms.items():
+            for l, k2, b in rows.get(j, ()):
+                u = (i, l, k1 + k2)
+                c = out.get(u)
+                out[u] = a * b if c is None else c + a * b
+        return GradedMatrix(self.algebra, _nonzero(out))
 
     def scale(self, a: Scalar) -> "GradedMatrix":
         if field_of(a) != self.algebra.base:
             raise FieldMismatch(f"{field_of(a)!r} vs {self.algebra.base!r}")
-        n = self.algebra.size
-        if self.algebra.kind == "field":
-            rows = tuple(tuple(a * self.entries[i][j] for j in range(n)) for i in range(n))
-        else:
-            rows = tuple(tuple(self.entries[i][j].scale(a) for j in range(n))
-                         for i in range(n))
-        return GradedMatrix(self.algebra, rows)
+        return GradedMatrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
 
     def star(self) -> "GradedMatrix":
         """The *-transpose: transpose with entry involution."""
-        n = self.algebra.size
-        if self.algebra.kind == "field":
-            rows = tuple(tuple(involve(self.entries[j][i]) for j in range(n))
-                         for i in range(n))
-        else:
-            rows = tuple(tuple(self.entries[j][i].star() for j in range(n))
-                         for i in range(n))
-        return GradedMatrix(self.algebra, rows)
+        return GradedMatrix(self.algebra, {
+            (j, i, -k): involve(a) for (i, j, k), a in self.terms.items()})
 
     def is_zero(self) -> bool:
-        if self.algebra.kind == "field":
-            return all(not e for row in self.entries for e in row)
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.terms
 
     def zero(self) -> "GradedMatrix":
-        return self.algebra.zero()
+        return GradedMatrix(self.algebra, {})
 
     def degree_components(self) -> dict:
-        n = self.algebra.size
+        g, n = self.algebra.shifts, self.algebra.period or 0
         out: dict = {}
-        for i in range(n):
-            for j in range(n):
-                for d, a in self.algebra._entry_parts(self.entries[i][j]):
-                    delta = d + self.algebra.shifts[i] - self.algebra.shifts[j]
-                    if delta not in out:
-                        out[delta] = [[self.algebra.entry_zero() for _ in range(n)]
-                                      for _ in range(n)]
-                    if self.algebra.kind == "field":
-                        out[delta][i][j] = out[delta][i][j] + a
-                    else:
-                        part = LaurentPoly(self.algebra.period,
-                                           ((d // self.algebra.period, a),),
-                                           self.algebra.base)
-                        out[delta][i][j] = out[delta][i][j] + part
-        return {delta: GradedMatrix(self.algebra, tuple(tuple(r) for r in rows))
-                for delta, rows in sorted(out.items())}
+        for (i, j, k), a in self.terms.items():
+            out.setdefault(k * n + g[i] - g[j], {})[(i, j, k)] = a
+        return {delta: GradedMatrix(self.algebra, terms)
+                for delta, terms in sorted(out.items())}
 
     def __str__(self):
+        size = range(self.algebra.size)
         return "[" + "; ".join(
-            ", ".join(str(e) for e in row) for row in self.entries) + "]"
+            ", ".join(str(self.entry(i, j)) for j in size) for i in size) + "]"
 
 
 def component_project(m: GradedMatrix, delta: int) -> GradedMatrix:
-    """Keep only the entry parts of homogeneous degree ``delta``."""
+    """Keep only the units of homogeneous degree ``delta``."""
     return m.degree_components().get(delta, m.algebra.zero())
-
-
-def graded_mat_mul(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -239,7 +199,8 @@ class MatTuple:
         if not isinstance(other, MatTuple):
             raise TypeError(f"expected MatTuple, got {type(other).__name__}")
         if len(other.blocks) != len(self.blocks) or any(
-            a.algebra != b.algebra for a, b in zip(self.blocks, other.blocks)
+            a.algebra is not b.algebra and a.algebra != b.algebra
+            for a, b in zip(self.blocks, other.blocks)
         ):
             raise AlgebraMismatch("direct sums have different block structure")
 
@@ -253,7 +214,9 @@ class MatTuple:
 
     def __mul__(self, other):
         self._check(other)
-        return MatTuple(tuple(a * b for a, b in zip(self.blocks, other.blocks)))
+        return MatTuple(tuple(
+            a * b if a.terms and b.terms else (b if a.terms else a)
+            for a, b in zip(self.blocks, other.blocks)))
 
     def scale(self, a: Scalar) -> "MatTuple":
         return MatTuple(tuple(b.scale(a) for b in self.blocks))
@@ -280,10 +243,6 @@ class MatTuple:
 
     def __str__(self):
         return " (+) ".join(str(b) for b in self.blocks)
-
-
-def direct_sum_zero(algebras) -> MatTuple:
-    return MatTuple(tuple(a.zero() for a in algebras))
 
 
 def direct_sum_unit(algebras, block: int, i: int, j: int, tpow: int = 0) -> MatTuple:
@@ -361,6 +320,12 @@ def signature_to_json(sig: MatricialSignature) -> dict:
 def signature_from_json(data) -> MatricialSignature:
     if not isinstance(data, dict):
         raise GraphFormatError("signature JSON must be an object")
+    # "blocks" is the per-block detail that `clpa classify --json` adds
+    unknown = sorted(set(data) - {"field_blocks", "laurent_blocks", "blocks"})
+    if unknown:
+        raise GraphFormatError(f"not a signature: unknown keys {unknown}")
+    if "field_blocks" not in data and "laurent_blocks" not in data:
+        raise GraphFormatError("not a signature: no field_blocks or laurent_blocks")
     try:
         fb = [(b["size"], tuple(b["shifts"])) for b in data.get("field_blocks", [])]
         lb = [(b["size"], b["period"], tuple(b["shifts"]))
@@ -368,16 +333,6 @@ def signature_from_json(data) -> MatricialSignature:
     except (TypeError, KeyError) as exc:
         raise GraphFormatError(f"signature JSON missing field: {exc}") from exc
     return MatricialSignature(tuple(fb), tuple(lb))
-
-
-def algebra_signature(algebra: GradedMatrixAlgebra) -> MatricialSignature:
-    if algebra.kind == "field":
-        return MatricialSignature(((algebra.size, algebra.shifts),), ())
-    return MatricialSignature((), ((algebra.size, algebra.period, algebra.shifts),))
-
-
-def signature_component_dim(sig: MatricialSignature, delta: int, base: Field = QQ) -> int:
-    return sum(component_dim(a, delta) for a in sig.algebras(base))
 
 
 # -- graded isomorphism decision -----------------------------------------------

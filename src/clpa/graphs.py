@@ -181,17 +181,24 @@ def find_cycles(graph: Graph) -> tuple:
     exactly once; parallel edges give distinct cycles.
     """
     cycles = []
-
-    def walk(anchor: str, current: str, edges: tuple, visited: frozenset):
-        for eid in graph.out_edges(current):
+    for anchor in sorted(graph.vertices):
+        # depth-first walk with an explicit stack of out-edge iterators
+        edges, on_path = [], {anchor}
+        stack = [iter(graph.out_edges(anchor))]
+        while stack:
+            eid = next(stack[-1], None)
+            if eid is None:
+                stack.pop()
+                if edges:
+                    on_path.discard(graph.rng(edges.pop()))
+                continue
             nxt = graph.rng(eid)
             if nxt == anchor:
-                cycles.append(Cycle(edges + (eid,)))
-            elif nxt > anchor and nxt not in visited:
-                walk(anchor, nxt, edges + (eid,), visited | {nxt})
-
-    for v in sorted(graph.vertices):
-        walk(v, v, (), frozenset({v}))
+                cycles.append(Cycle(tuple(edges) + (eid,)))
+            elif nxt > anchor and nxt not in on_path:
+                edges.append(eid)
+                on_path.add(nxt)
+                stack.append(iter(graph.out_edges(nxt)))
     return tuple(sorted(cycles, key=lambda c: (c.length, c.edges)))
 
 
@@ -259,22 +266,29 @@ def paths_into(
         raise GraphFormatError(f"unknown vertex {target!r}")
     avoid = frozenset({target}) if avoid_interior is None else frozenset(avoid_interior)
     out = [Path(target)]
-
-    def back(front: str, edges: tuple, seen: frozenset):
-        for eid in graph.in_edges(front):
-            u = graph.src(eid)
-            if u in avoid:
-                continue
-            if u in seen:
-                raise NonFiniteEnumeration(
-                    f"infinitely many paths into {target!r}: cycle through {u!r} "
-                    "is not cut by the avoid rule"
-                )
-            p = Path(u, (eid,) + edges)
-            out.append(p)
-            back(u, p.edges, seen | {u})
-
-    back(target, (), frozenset({target}))
+    # depth-first walk backwards: a stack of (in-edge iterator, path so far)
+    seen = {target}
+    stack = [(iter(graph.in_edges(target)), ())]
+    while stack:
+        it, edges = stack[-1]
+        eid = next(it, None)
+        if eid is None:
+            stack.pop()
+            if edges:
+                seen.discard(graph.src(edges[0]))
+            continue
+        u = graph.src(eid)
+        if u in avoid:
+            continue
+        if u in seen:
+            raise NonFiniteEnumeration(
+                f"infinitely many paths into {target!r}: cycle through {u!r} "
+                "is not cut by the avoid rule"
+            )
+        p = Path(u, (eid,) + edges)
+        out.append(p)
+        seen.add(u)
+        stack.append((iter(graph.in_edges(u)), p.edges))
     out.sort(key=Path.sort_key)
     return out
 

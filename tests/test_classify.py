@@ -127,6 +127,48 @@ class TestSignatures:
                 assert b.size == len(b.paths) == len(b.shifts)
 
 
+def comet_into_cycle(tail: int, length: int):
+    """A tail x0 -> ... -> x(tail-1) into a cycle of the given length, S = all."""
+    ring = [f"c{i}" for i in range(length)]
+    vs = [f"x{i}" for i in range(tail)] + ring
+    es = [(f"t{i}", f"x{i}", f"x{i + 1}" if i + 1 < tail else ring[0]) for i in range(tail)]
+    es += [(f"a{i}", ring[i], ring[(i + 1) % length]) for i in range(length)]
+    return CLObject(Graph(vs, es), vs)
+
+
+def binary_tree(depth: int):
+    """The complete binary tree of the given depth, S = the internal vertices."""
+    vs, es, level = ["r"], [], ["r"]
+    for _ in range(depth):
+        level = [v + b for v in level for b in "01"]
+        vs += level
+        es += [("e" + w, w[:-1], w) for w in level]
+    return CLObject(Graph(vs, es), [v for v in vs if len(v) <= depth])
+
+
+class TestLargeObjects:
+    def test_long_path_classifies(self):
+        n = 2000
+        vs = [f"x{i}" for i in range(n)]
+        obj = CLObject(Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]),
+                       vs[:-1])
+        sig = classify(obj)
+        assert sig.laurent_blocks == ()
+        assert sig.field_blocks == ((n, tuple(range(n))),)
+
+    @pytest.mark.parametrize("obj, sizes", [
+        (comet_into_cycle(8, 3), [("cycle", 11)]),
+        (binary_tree(4), [("sink", 5)] * 16),
+    ], ids=["comet8-3", "tree4"])
+    def test_generator_map_at_scale(self, obj, sizes):
+        # build_generator_map verifies every axiom, unit and degree itself
+        gmap = build_generator_map(obj)
+        assert [(b.kind, b.size) for b in gmap.blocks] == sizes
+        one = gmap.ctx.field.one
+        for img in gmap.images.values():
+            assert all(a == one for blk in img.blocks for a in blk.terms.values())
+
+
 class TestGeneratorMaps:
     def test_fan_images_match_known_map(self):
         for n in (1, 3):

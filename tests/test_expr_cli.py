@@ -90,6 +90,41 @@ def chain_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def rose_exit_file(tmp_path):
+    path = tmp_path / "rose.json"
+    path.write_text(json.dumps({
+        "vertices": ["v", "w"],
+        "edges": [{"id": "c", "src": "v", "rng": "v"}, {"id": "x", "src": "v", "rng": "w"}],
+        "S": ["v"],
+    }))
+    return str(path)
+
+
+SUBCOMMAND_ARGS = {
+    "classify": ["classify", "{loop}"],
+    "analyze": ["analyze", "{rose}"],
+    "relgraph": ["relgraph", "{rose}"],
+    "complete": ["complete", "{loop}", "--system"],
+    "monoid": ["monoid", "{rose}"],
+    "witness": ["witness", "{rose}", "--kind", "noetherian", "--n", "2"],
+    "iso": ["iso", "{sig}", "{sig}"],
+    "eval": ["eval", "c|c", "--graph", "{loop}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_field_validated_by_every_subcommand(command, loop_file, rose_exit_file, tmp_path):
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"field_blocks": [{"size": 2, "shifts": [0, 1]}]}))
+    files = {"loop": loop_file, "rose": rose_exit_file, "sig": str(sig)}
+    args = [a.format(**files) for a in SUBCOMMAND_ARGS[command]]
+    assert run_cli([*args, "--field", "gf:3"]).returncode == 0
+    proc = run_cli([*args, "--field", "gf:4"])
+    assert proc.returncode == 2
+    assert "4 is not prime" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestCli:
     def test_classify_loop(self, loop_file):
         proc = run_cli(["classify", loop_file])
@@ -225,6 +260,24 @@ class TestCli:
         bad.write_text('{"vertices": ["v"], "edges": [], "S": ["v"]}')
         proc = run_cli(["analyze", str(bad)])
         assert proc.returncode == 2
+
+    def test_witness_nonpositive_length_is_exit_2(self, rose_exit_file):
+        for n in ("0", "-1"):
+            proc = run_cli(["witness", rose_exit_file, "--kind", "noetherian", "--n", n])
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "--n must be at least 1" in proc.stderr
+
+    def test_iso_rejects_graph_files(self, loop_file):
+        proc = run_cli(["iso", loop_file, loop_file, "--json"])
+        assert proc.returncode == 2
+        assert "not a signature" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_iso_accepts_classify_json(self, loop_file, tmp_path):
+        sig = tmp_path / "loop.sig.json"
+        sig.write_text(run_cli(["classify", loop_file, "--json"]).stdout)
+        proc = run_cli(["iso", str(sig), str(sig), "--json"])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "yes"
 
     def test_graph_round_trip_canonical(self, tmp_path):
         obj = fan(2, s_on=True)

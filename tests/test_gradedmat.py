@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clpa.errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
 from clpa.gradedmat import (
@@ -17,7 +19,7 @@ from clpa.gradedmat import (
     signature_from_json,
     signature_to_json,
 )
-from clpa.scalars import QQ, PrimeField
+from clpa.scalars import QQ, LaurentPoly, PrimeField
 
 GF2 = PrimeField(2)
 
@@ -107,6 +109,13 @@ class TestMatrixOps:
         y = x * x
         assert (y.blocks[0] - algs[0].identity()).is_zero()
         assert (y.blocks[1] - algs[1].unit(0, 0, 2)).is_zero()
+
+    def test_mat_tuple_zero_blocks(self):
+        algs = (M("field", 2, (0, 1)), M("laurent", 1, (0,), period=2))
+        x = MatTuple((algs[0].unit(0, 1), algs[1].zero()))
+        y = MatTuple((algs[0].zero(), algs[1].unit(0, 0, -1)))
+        assert (x * y).is_zero() and (y * x).is_zero()
+        assert (x * x.star()).blocks[0] == algs[0].unit(0, 0)
 
 
 class TestSignature:
@@ -218,3 +227,95 @@ class TestOracle:
                     decision = decide_graded_iso(a, b)
                     assert decision.verdict != "unknown"
                     assert (decision.verdict == "yes") == brute_force_iso_oracle(a, b)
+
+
+# -- sparse elements against a dense reference ----------------------------------
+
+
+@st.composite
+def unit_combinations(draw):
+    """An algebra and two lists of (i, j, k, c): coefficient c on e_ij t^k."""
+    kind = draw(st.sampled_from(["field", "laurent"]))
+    base = draw(st.sampled_from([QQ, GF2, PrimeField(3), PrimeField(5)]))
+    size = draw(st.integers(min_value=1, max_value=3))
+    shifts = draw(st.lists(st.integers(-2, 3), min_size=size, max_size=size))
+    period = draw(st.integers(1, 3)) if kind == "laurent" else None
+    exps = st.integers(-2, 2) if kind == "laurent" else st.just(0)
+    term = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), exps,
+                     st.integers(-2, 2))
+    return (M(kind, size, shifts, period=period, base=base),
+            draw(st.lists(term, max_size=6)), draw(st.lists(term, max_size=6)))
+
+
+def _sparse(alg, combo):
+    x = alg.zero()
+    for i, j, k, c in combo:
+        x = x + alg.unit(i, j, k).scale(alg.base.from_int(c))
+    return x
+
+
+def _dense(alg, combo):
+    """The reference: an n x n matrix of LaurentPoly entries."""
+    period = alg.period or 1
+    rows = [[LaurentPoly.zero_poly(period, alg.base) for _ in range(alg.size)]
+            for _ in range(alg.size)]
+    for i, j, k, c in combo:
+        a = alg.base.from_int(c) if isinstance(c, int) else c
+        rows[i][j] = rows[i][j] + LaurentPoly(period, ((k, a),), alg.base)
+    return rows
+
+
+def _as_dense(x):
+    """The dense form of a sparse element, after checking its invariants."""
+    assert all(x.terms.values()), "a zero coefficient is stored"
+    return _dense(x.algebra, [(i, j, k, a) for (i, j, k), a in x.terms.items()])
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    out = [[a[0][0].zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                out[i][j] = out[i][j] + a[i][l] * b[l][j]
+    return out
+
+
+def _dense_components(alg, rows):
+    period = alg.period or 0
+    out = {}
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            for k, a in entry.terms:
+                delta = k * period + alg.shifts[i] - alg.shifts[j]
+                part = out.setdefault(delta, [[entry.zero() for _ in row] for _ in row])
+                part[i][j] = part[i][j] + LaurentPoly(entry.period, ((k, a),), alg.base)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=unit_combinations())
+def test_sparse_arithmetic_matches_dense_reference(case):
+    alg, xs, ys = case
+    x, y = _sparse(alg, xs), _sparse(alg, ys)
+    dx, dy = _dense(alg, xs), _dense(alg, ys)
+    assert _as_dense(x) == dx
+    assert _as_dense(x * y) == _dense_mul(dx, dy)
+    assert _as_dense(x + y) == [[a + b for a, b in zip(r, s)] for r, s in zip(dx, dy)]
+    assert _as_dense(x - y) == [[a - b for a, b in zip(r, s)] for r, s in zip(dx, dy)]
+    assert _as_dense(x.star()) == [[dx[j][i].star() for j in range(alg.size)]
+                                   for i in range(alg.size)]
+    comps = x.degree_components()
+    want = _dense_components(alg, dx)
+    assert list(comps) == sorted(want)
+    for delta, part in comps.items():
+        assert part.algebra == alg
+        assert _as_dense(part) == want[delta]
+    assert x.is_zero() == all(e.is_zero() for row in dx for e in row)
+    for i in range(alg.size):
+        for j in range(alg.size):
+            entry = x.entry(i, j)
+            if alg.kind == "field":
+                assert entry == dx[i][j].coeff(0)
+            else:
+                assert entry == dx[i][j]

@@ -129,6 +129,24 @@ class TestPathsInto:
             paths_into(g, "w")
 
 
+class TestDeepGraphs:
+    # walks use an explicit stack: depth is not bounded by the recursion limit
+    N = 2000
+
+    def test_find_cycles_long_cycle(self):
+        vs = [f"v{i}" for i in range(self.N)]
+        g = Graph(vs, [(f"a{i}", vs[i], vs[(i + 1) % self.N]) for i in range(self.N)])
+        (c,) = find_cycles(g)
+        assert c.length == self.N and c.base(g) == min(vs)
+
+    def test_paths_into_long_path(self):
+        vs = [f"v{i}" for i in range(self.N)]
+        g = Graph(vs, [(f"a{i}", vs[i], vs[i + 1]) for i in range(self.N - 1)])
+        paths = paths_into(g, vs[-1])
+        assert [len(p) for p in paths] == list(range(self.N))
+        assert paths[-1].source == vs[0]
+
+
 class TestCompleteSubobjects:
     def test_fan_subobject(self):
         ambient = fan(3)
