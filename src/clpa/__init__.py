@@ -12,12 +12,9 @@ from .algebra import (
     Monomial,
     check_generator_map,
     evaluate_element,
-    homogeneous_components,
     involution,
     is_idempotent,
     are_orthogonal,
-    multiply,
-    normal_form,
     normal_monomials,
     relative_generator_images,
 )

@@ -273,21 +273,8 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def normal_form(ctx: AlgebraContext, raw: Iterable[tuple]) -> AlgebraElement:
-    """Normal form of a raw (coefficient, monomial) combination."""
-    return ctx.from_raw(raw)
-
-
 def involution(a: AlgebraElement) -> AlgebraElement:
     return a.star()
-
-
-def homogeneous_components(a: AlgebraElement) -> dict:
-    return a.degree_components()
 
 
 def is_idempotent(x: AlgebraElement) -> bool:

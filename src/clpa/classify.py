@@ -48,7 +48,11 @@ from .scalars import QQ, Field
 
 def check_no_exit_object(obj: CLObject):
     """True iff the graph is no-exit and every cycle vertex lies in S."""
-    facts = predicates(obj.graph)
+    violations = _no_exit_violations(obj, predicates(obj.graph))
+    return (not violations), violations
+
+
+def _no_exit_violations(obj: CLObject, facts) -> list:
     violations = []
     bifs = set(facts.bifurcations)
     for c in facts.cycles:
@@ -57,7 +61,7 @@ def check_no_exit_object(obj: CLObject):
             violations.append(f"cycle vertex {v} is a bifurcation (the cycle has an exit)")
         for v in sorted(on_cycle - obj.s_set):
             violations.append(f"cycle vertex {v} is not in S")
-    return (not violations), violations
+    return violations
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,11 @@ class Block:
 
 def blocks_of(obj: CLObject) -> tuple:
     """The block decomposition data of a no-exit object (raw, untranslated)."""
-    ok, violations = check_no_exit_object(obj)
-    if not ok:
-        raise NotNoExitObject("; ".join(violations))
     g = obj.graph
     facts = predicates(g)
+    violations = _no_exit_violations(obj, facts)
+    if violations:
+        raise NotNoExitObject("; ".join(violations))
     out = []
     for v in facts.sinks:
         out.append(Block("sink", v, tuple(paths_into(g, v))))

@@ -77,7 +77,7 @@ def cmd_classify(args) -> int:
 
 def cmd_analyze(args) -> int:
     obj = _load_graph(args.graph)
-    rep = reports_mod.report(obj)
+    rep = reports_mod.report(obj, args.field)
     if args.json:
         _emit_json(rep.to_json())
     else:
@@ -203,29 +203,23 @@ def cmd_witness(args) -> int:
         raise ClpaError(f"chain length --n must be at least 1, got {args.n}")
     obj = _load_graph(args.graph)
     facts = predicates(obj.graph)
-    if args.kind == "cancellation":
+    if args.kind != "artinian":
         bifs = set(facts.bifurcations)
         cycle = next(
             (c for c in facts.cycles if c.vertex_set(obj.graph) & bifs), None
         )
         if cycle is None:
             raise ClpaError("no cycle with an exit in the graph")
-        witness = monoid_mod.cancellation_witness(obj, cycle, args.n)
-    elif args.kind == "noetherian":
-        bifs = set(facts.bifurcations)
-        cycle = next(
-            (c for c in facts.cycles if c.vertex_set(obj.graph) & bifs), None
-        )
-        if cycle is None:
-            raise ClpaError("no cycle with an exit in the graph")
-        witness = reports_mod.noetherian_chain_witness(obj, cycle, args.n)
+        build = (monoid_mod.cancellation_witness if args.kind == "cancellation"
+                 else reports_mod.noetherian_chain_witness)
+        witness = build(obj, cycle, args.n, args.field)
     else:
         cycle = next(
             (c for c in facts.cycles if c.vertex_set(obj.graph) <= obj.s_set), None
         )
         if cycle is None:
             raise ClpaError("no cycle with all vertices in S")
-        witness = reports_mod.artinian_failure_witness(obj, cycle, args.n)
+        witness = reports_mod.artinian_failure_witness(obj, cycle, args.n, args.field)
     if args.json:
         _emit_json({"kind": args.kind, "transcript": witness.transcript()})
     else:

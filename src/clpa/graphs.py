@@ -411,18 +411,39 @@ class SubobjectSystem:
         )
 
     def covers(self) -> list:
-        """Covering pairs (i, j) of the inclusion order (for DOT export)."""
-        n = len(self.nodes)
+        """Covering pairs (i, j) of the inclusion order (for DOT export).
+
+        Each node is a bitmask over the ambient vertices, edges and S, so
+        ``leq`` is mask containment; ``above[i]`` is the bitmask of the j
+        strictly above i, and the covers of i are the j in ``above[i]`` that
+        lie in no ``above[k]`` for a k in ``above[i]``.
+        """
+        bit: dict = {}
+        masks = []
+        for node in self.nodes:
+            keys = ([("v", v) for v in node.graph.vertices]
+                    + [("e", e) for e in node.graph.edges]
+                    + [("s", v) for v in node.s_set])
+            masks.append(sum(1 << bit.setdefault(k, len(bit)) for k in keys))
+        above = [
+            sum(1 << j for j, b in enumerate(masks) if j != i and not a & ~b)
+            for i, a in enumerate(masks)
+        ]
         pairs = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq(i, j):
-                    if not any(
-                        k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                        for k in range(n)
-                    ):
-                        pairs.append((i, j))
+        for i, up in enumerate(above):
+            through = 0
+            for k in _bits(up):
+                through |= above[k]
+            pairs.extend((i, j) for j in _bits(up & ~through))
         return pairs
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _closed_edge_sets(E: Graph, S: frozenset):

@@ -21,8 +21,8 @@ from typing import Optional
 
 from ._linalg import nullspace_basis
 from .algebra import AlgebraContext, is_idempotent
-from .classify import blocks_of, check_no_exit_object
-from .errors import ClassificationBug, NotAnExit
+from .classify import blocks_of
+from .errors import ClassificationBug, NotAnExit, NotNoExitObject
 from .graphs import CLObject, Cycle, RelativeGraph, predicates, relative_graph
 from fractions import Fraction
 
@@ -110,10 +110,10 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
     map onto a free commutative monoid (an isomorphism in this case).
     """
     leavitt = rel_leavitt(pres)
-    ok, _ = check_no_exit_object(leavitt)
-    if not ok:
+    try:
+        blocks = blocks_of(leavitt)
+    except NotNoExitObject:
         return None
-    blocks = blocks_of(leavitt)
     g = leavitt.graph
     return {
         v: tuple(sum(1 for q in b.paths if q.source == v) for b in blocks)
@@ -173,11 +173,14 @@ class EqualityAnswer:
 
 def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
           depth: int = 8, max_states: int = 20000) -> EqualityAnswer:
-    """Tri-valued word-problem check: bounded search for yes, invariants for no.
+    """Word-problem check: exact on a no-exit relative graph, tri-valued otherwise.
 
-    Yes: bidirectional application of the relations meets within ``depth``.
     No: some additive functional invariant under every relation separates
-    a from b.  Everything else: unknown (no decision procedure is claimed).
+    a from b.  Yes, when the relative graph is no-exit: the path-count
+    invariant is an isomorphism onto N^r and the functionals span its
+    coordinates, so no separating functional means equal.  Yes, otherwise:
+    bidirectional application of the relations meets within ``depth``.
+    Everything else: unknown (no decision procedure is claimed).
     """
     if a == b:
         return EqualityAnswer("yes", common_reduct=a)
@@ -196,6 +199,14 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
         value = sum(f * d for f, d in zip(functional, diff))
         if value:
             return EqualityAnswer("no", separating_functional=tuple(functional))
+
+    invariant = path_count_invariant(pres)
+    if invariant is not None:
+        if invariant_value(invariant, a) != invariant_value(invariant, b):
+            raise ClassificationBug(
+                f"no functional separates {a} from {b}, but the invariant does"
+            )
+        return EqualityAnswer("yes")
 
     moves = [(v, rhs) for v, rhs in pres.relations if MonoidElement.of(v) != rhs]
 
@@ -254,28 +265,35 @@ class CancellationWitness:
         return "\n".join(self.statements)
 
 
-def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
-                         field: Field = QQ) -> CancellationWitness:
-    """Verify the cancellation-failure chain along a cycle with an exit."""
+def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ):
+    """The cycle rebased at its first exit v, with c^n and p_n = c^n (c^n)*.
+
+    Returns ``(v, based, powers, projections)``: ``based`` is the rebased
+    cycle, ``powers[n]`` is c^n for n = 0..count (``powers[0]`` is v) and
+    ``projections[n-1]`` is p_n for n = 1..count.
+    """
     g = obj.graph
     exits = sorted(v for v in cycle.vertex_set(g) if len(g.out_edges(v)) >= 2)
     if not exits:
         raise NotAnExit(f"cycle {cycle} has no exit")
     v = exits[0]
     k = [g.src(e) for e in cycle.edges].index(v)
-    based = cycle.edges[k:] + cycle.edges[:k]
-
+    based = Cycle(cycle.edges[k:] + cycle.edges[:k])
     ctx = AlgebraContext(obj, field)
-    c = ctx.path_element(based)
-    vert = ctx.vertex(v)
-    statements = [f"cycle {'.'.join(based)} based at the bifurcation {v}"]
-    powers = [vert]
-    for _ in range(n_max + 1):
+    c = ctx.path_element(based.edges)
+    powers = [ctx.vertex(v)]
+    for _ in range(count):
         powers.append(powers[-1] * c)
-    ps = []
-    for n in range(1, n_max + 2):
-        p = powers[n] * powers[n].star()
-        ps.append(p)
+    projections = tuple(p * p.star() for p in powers[1:])
+    return v, based, tuple(powers), projections
+
+
+def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
+                         field: Field = QQ) -> CancellationWitness:
+    """Verify the cancellation-failure chain along a cycle with an exit."""
+    v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
+    vert = powers[0]
+    statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         p, p_next = ps[n - 1], ps[n]
         checks = {
@@ -292,7 +310,7 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
             f"[{v}] = [p_{n}] = [p_{n+1}] + [p_{n} - p_{n+1}] gives "
             f"[{v}] = [{v}] + [p_{n} - p_{n+1}] with p_{n} - p_{n+1} != 0"
         )
-    return CancellationWitness(v, Cycle(based), tuple(ps[:n_max]), tuple(statements))
+    return CancellationWitness(v, based, ps[:n_max], tuple(statements))
 
 
 @dataclass(frozen=True)

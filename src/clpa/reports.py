@@ -10,26 +10,21 @@ evaluated there.  For a finite graph the three deciding predicates are
 * no-exit + sink-free (purely Laurent decompositions),
 
 with row-finiteness and the infinite-path conditions automatic.  Witness
-constructions attach machine-checked algebraic evidence: an increasing chain
-of corner ideals along a cycle with an exit, and a decreasing chain in the
-Laurent corner of a cycle demonstrating graded-artinian-but-not-artinian.
+constructions attach machine-checked algebraic proofs: a strictly increasing
+chain of corner ideals along a cycle with an exit, and a strictly decreasing
+chain in the Laurent corner of a cycle demonstrating
+graded-artinian-but-not-artinian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .algebra import (
-    AlgebraContext,
-    AlgebraElement,
-    all_paths,
-    check_generator_map,
-    relative_generator_images,
-)
-from .classify import build_generator_map, check_no_exit_object
-from .errors import ClassificationBug, NoCycle, NotAnExit
+from .algebra import check_generator_map, relative_generator_images
+from .classify import build_generator_map
+from .errors import ClassificationBug, NoCycle
 from .graphs import CLObject, Cycle, object_to_json, predicates, relative_graph
+from .monoid import exit_cycle_chain
 from .scalars import QQ, Field
 
 
@@ -214,18 +209,18 @@ def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> Property
     if not no_exit:
         bad = next(c for c in facts.cycles if c.vertex_set(rel.graph) & bifs)
         witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), bad, witness_depth
+            rel.leavitt_object(), bad, witness_depth, field
         )
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "
             "corner left ideals (see the noetherian_chain witness)"
         )
     if no_exit and not acyclic:
-        cycle = next(
-            c for c in predicates(obj.graph).cycles
-            if c.vertex_set(obj.graph) <= obj.s_set
+        # a no-exit relative graph has the object's cycles, all inside S
+        cycle = facts.cycles[0]
+        witnesses["artinian_failure"] = artinian_failure_witness(
+            obj, cycle, witness_depth, field
         )
-        witnesses["artinian_failure"] = artinian_failure_witness(obj, cycle, witness_depth)
         notes.append(
             "cycles are present: the algebra is graded locally artinian but not "
             "locally artinian, so the graded and non-graded artinian families "
@@ -237,83 +232,6 @@ def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> Property
 
 
 # -- witnesses -------------------------------------------------------------------
-
-
-def _proportional(a: AlgebraElement, b: AlgebraElement):
-    """A scalar lam with b = lam*a, or None."""
-    if a.is_zero() or b.is_zero():
-        return None
-    monos_a, monos_b = a.monomials(), b.monomials()
-    if monos_a != monos_b:
-        return None
-    lam = b.coeff(monos_a[0]) / a.coeff(monos_a[0])
-    return lam if a.scale(lam) == b else None
-
-
-def _bounded_factor_search(ctx: AlgebraContext, middle: AlgebraElement,
-                           target: AlgebraElement, bound: int = 4) -> tuple:
-    """Look for monomials x, y of bilength up to ``bound`` with x*middle*y ~ target.
-
-    Returns ``(effective_bound, hit)`` where hit describes a factorization or
-    is None when the bounded search exhausts.  Absence of a hit is evidence of
-    ideal strictness at the effective bound, never proof.
-
-    Pruning (all sound): a product monomial starts at the source of x's left
-    path and its ghost part starts at the source of y's right path, so those
-    sources must match the target's; and since monomials are homogeneous,
-    deg(x) + deg(y) must shift the degree support of the middle onto a
-    superset of the target's.
-    """
-    from .algebra import Monomial
-
-    g = ctx.graph
-    left_sources = {m.left.source for m, _ in target.terms}
-    right_sources = {m.right.source for m, _ in target.terms}
-
-    def candidates(b):
-        paths = all_paths(g, b)
-        by_range: dict = {}
-        for p in paths:
-            by_range.setdefault(g.path_range(p), []).append(p)
-        monomials = [
-            Monomial(p, q)
-            for _, group in sorted(by_range.items())
-            for p in group
-            for q in group
-            if len(p) + len(q) <= b
-        ]
-        return (
-            [m for m in monomials if m.left.source in left_sources],
-            [m for m in monomials if m.right.source in right_sources],
-        )
-
-    # dense multigraphs explode combinatorially; shrink the bound until the
-    # pair count is desk scale and record the bound actually searched
-    effective = bound
-    xs, ys = candidates(effective)
-    while effective > 1 and len(xs) * len(ys) > 60_000:
-        effective -= 1
-        xs, ys = candidates(effective)
-
-    mid_degrees = set(middle.degree_components())
-    target_degrees = set(target.degree_components())
-    lo = max(target_degrees) - max(mid_degrees)
-    hi = min(target_degrees) - min(mid_degrees)
-    one = ctx.field.one
-    for x in xs:
-        left = ctx.from_raw([(one, x)]) * middle
-        if left.is_zero():
-            continue
-        for y in ys:
-            if not lo <= x.degree + y.degree <= hi:
-                continue
-            prod = left * ctx.from_raw([(one, y)])
-            if prod.is_zero():
-                continue
-            lam = _proportional(target, prod)
-            if lam is not None:
-                return effective, f"{x} * middle * {y} = {lam} * target"
-    return effective, None
 
 
 @dataclass(frozen=True)
@@ -331,43 +249,31 @@ class NoetherianChainWitness:
 
 def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
                              field: Field = QQ) -> NoetherianChainWitness:
-    """Certify the increasing corner-ideal chain along a cycle with an exit."""
-    g = obj.graph
-    exits = sorted(v for v in cycle.vertex_set(g) if len(g.out_edges(v)) >= 2)
-    if not exits:
-        raise NotAnExit(f"cycle {cycle} has no exit")
-    v = exits[0]
-    k = [g.src(e) for e in cycle.edges].index(v)
-    based = cycle.edges[k:] + cycle.edges[:k]
-    ctx = AlgebraContext(obj, field)
-    c = ctx.path_element(based)
-    vert = ctx.vertex(v)
-    statements = [f"cycle {'.'.join(based)} based at the bifurcation {v}"]
-    gs = []
-    power = vert
-    for n in range(1, n_max + 2):
-        power = power * c
-        gs.append(vert - power * power.star())
+    """Prove the corner-ideal chain along a cycle with an exit strictly increasing.
+
+    For an idempotent e, x lies in Ae exactly when xe = x.  So g_n g_n = g_n,
+    g_n g_{n+1} = g_n and g_{n+1} g_n != g_{n+1} prove A g_n < A g_{n+1}.
+    """
+    v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
+    gs = [powers[0] - p for p in ps]
+    statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         g_n, g_next = gs[n - 1], gs[n]
         checks = {
             f"g_{n} g_{n+1} = g_{n} (the corner ideals are nested)": g_n * g_next == g_n,
-            f"g_{n} != g_{n+1}": g_n != g_next,
+            f"g_{n} idempotent": g_n * g_n == g_n,
+            f"g_{n+1} g_{n} = g_{n} != g_{n+1}": g_next * g_n == g_n != g_next,
             f"g_{n} homogeneous of degree 0": set(g_n.degree_components()) <= {0},
         }
         for label, okay in checks.items():
             if not okay:
                 raise ClassificationBug(f"noetherian witness check failed: {label}")
             statements.append(f"checked {label}")
-        eff, hit = _bounded_factor_search(ctx, g_n, g_next)
-        if hit is None:
-            statements.append(
-                f"no x*g_{n}*y matches g_{n+1} with monomial bilength <= {eff}: "
-                f"strictness evidence at bound {eff}"
-            )
-        else:
-            raise ClassificationBug(f"expected strict chain, found {hit}")
-    return NoetherianChainWitness(v, Cycle(based), tuple(gs[:n_max]), tuple(statements))
+        statements.append(
+            f"so g_{n+1} is not in A g_{n} and A g_{n} < A g_{n+1} strictly "
+            "(x in Ae iff xe = x for an idempotent e)"
+        )
+    return NoetherianChainWitness(v, based, tuple(gs[:n_max]), tuple(statements))
 
 
 @dataclass(frozen=True)
@@ -378,10 +284,10 @@ class ArtinianFailureWitness:
     block); they certify the corner contains a Laurent ring.  Since the
     cycle path is a partial isometry with full corner support, the powers
     generate the whole corner as one-sided ideals, so the non-artinian
-    evidence lives in ``chain``: d_n = (v - c)^n, whose left ideals strictly
-    decrease, with bounded-search evidence for strictness.  The degree
-    records show why no such chain is graded: h_n is homogeneous of degree
-    n*|c|, and the graded-artinian verdict stays true.
+    witness lives in ``chain``: d_n = (v - c)^n, whose images (1 - t)^n in
+    the cycle block prove that its left ideals strictly decrease.  The
+    degree records show why no such chain is graded: h_n is homogeneous of
+    degree n*|c|, and the graded-artinian verdict stays true.
     """
 
     base_vertex: str
@@ -396,16 +302,24 @@ class ArtinianFailureWitness:
 
 def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
                              field: Field = QQ) -> ArtinianFailureWitness:
-    """Certify that the object's algebra is not artinian along a cycle in S."""
+    """Prove that the algebra of a no-exit object is not artinian along a cycle in S."""
     g = obj.graph
     base = cycle.base(g)
     if not cycle.vertex_set(g) <= obj.s_set:
         raise NoCycle(f"cycle {cycle} does not have all its vertices in S")
-    ctx = AlgebraContext(obj, field)
+    gmap = build_generator_map(obj, field=field)
+    ctx = gmap.ctx
     c = ctx.path_element(cycle.edges)
     vert = ctx.vertex(base)
-    statements = [f"cycle {cycle} based at {base} (length {cycle.length})"]
+    block_index = next(
+        i for i, b in enumerate(gmap.blocks) if b.kind == "cycle" and b.cycle == cycle
+    )
+    triv = next(i for i, p in enumerate(gmap.blocks[block_index].paths) if p.is_trivial)
 
+    def unit(k):
+        return gmap.block_unit(block_index, triv, triv, k)
+
+    statements = [f"cycle {cycle} based at {base} (length {cycle.length})"]
     powers = []
     h = vert
     for n in range(1, n_max + 2):
@@ -423,29 +337,17 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
             "are graded and their nesting is NOT strictly-decreasing evidence in "
             "the graded sense; the graded artinian verdict remains true"
         )
-
-    ok, _ = check_no_exit_object(obj)
-    if ok:
-        gmap = build_generator_map(obj, field=field)
-        block_index = next(
-            i for i, b in enumerate(gmap.blocks)
-            if b.kind == "cycle" and b.cycle == cycle
+    for n in range(1, n_max + 1):
+        if not (gmap.evaluate(powers[n - 1]) - unit(n)).is_zero():
+            raise ClassificationBug(f"classification image of h_{n} is not t^{n}")
+        statements.append(
+            f"classification image of h_{n} is t^{n} times the unit of its block"
         )
-        block = gmap.blocks[block_index]
-        triv = block.paths.index(next(p for p in block.paths if p.is_trivial))
-        for n in range(1, n_max + 1):
-            want = gmap.block_unit(block_index, triv, triv, n)
-            if not (gmap.evaluate(powers[n - 1]) - want).is_zero():
-                raise ClassificationBug(f"classification image of h_{n} is not t^{n}")
-            statements.append(
-                f"classification image of h_{n} is t^{n} times the unit of its block"
-            )
-    else:
-        statements.append("object does not classify; image checks skipped")
 
     one_minus = vert - c
     chain = []
     d = vert
+    image = unit(0)                    # (1 - t)^n e, built by its recursion
     for n in range(1, n_max + 2):
         d = one_minus * d
         chain.append(d)
@@ -453,17 +355,17 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
         d_n, d_next = chain[n - 1], chain[n]
         if d_next != one_minus * d_n:
             raise ClassificationBug(f"d_{n+1} != (v - c) d_{n}")
-        if d_n.is_zero() or d_n == d_next:
-            raise ClassificationBug(f"chain degenerates at d_{n}")
-        eff, hit = _bounded_factor_search(ctx, d_next, d_n)
-        if hit is None:
-            statements.append(
-                f"no x*d_{n+1}*y recovers d_{n} with monomial bilength <= {eff}: "
-                f"the left ideals of d_n = ({base} - c)^n strictly decrease "
-                f"(strictness evidence at bound {eff})"
-            )
-        else:
-            raise ClassificationBug(f"expected strict decrease, found {hit}")
+        image = image - image * unit(1)
+        if not (gmap.evaluate(d_n) - image).is_zero():
+            raise ClassificationBug(f"classification image of d_{n} is not (1 - t)^{n} e")
+        statements.append(
+            f"checked classification image of d_{n} = ({base} - c)^{n} is "
+            f"(1 - t)^{n} e (e the unit of the trivial path in its block)"
+        )
+        statements.append(
+            f"so d_{n} is not in A d_{n+1}, as 1 - t is not a unit of K[t, t^-1]: "
+            f"A d_{n+1} < A d_{n} strictly"
+        )
     return ArtinianFailureWitness(
         base, cycle, tuple(powers[:n_max]), tuple(chain[:n_max]), tuple(statements)
     )

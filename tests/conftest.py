@@ -61,6 +61,23 @@ def cycle_with_exit(n: int = 2):
     return CLObject(Graph(vs, es), ["v1", "v2"][:n])
 
 
+def loop_with_exit():
+    """A loop in S with an edge out to a sink: the relative graph has an exit."""
+    return CLObject(Graph(["v", "w"], [("c", "v", "v"), ("x", "v", "w")]), ["v"])
+
+
+def binary_tree(depth: int):
+    """Complete binary tree; S = the internal vertices.  Returns (obj, root, leaves)."""
+    vertices, edges, leaves = ["r"], [], ["r"]
+    for _ in range(depth):
+        below = [v + b for v in leaves for b in "01"]
+        edges += [(f"e{w}", w[:-1], w) for w in below]
+        vertices += below
+        leaves = below
+    internal = [v for v in vertices if v not in leaves]
+    return CLObject(Graph(vertices, edges), internal), "r", leaves
+
+
 def parallel_to_sink():
     """v emitting two parallel edges to one sink (a bifurcation off any cycle)."""
     return CLObject(Graph(["v", "u"], [("e1", "v", "u"), ("e2", "v", "u")]), ["v"])

@@ -249,6 +249,12 @@ class TestCli:
         proc = run_cli(["witness", chain_file, "--kind", "artinian"])
         assert proc.returncode == 2
 
+    def test_witness_artinian_with_exit_is_exit_2(self, rose_exit_file):
+        # the loop is in S but has an exit: the object does not classify
+        proc = run_cli(["witness", rose_exit_file, "--kind", "artinian"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "has an exit" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bad_graph_json_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": ["v"], "edges": [{"id": "e", "src": "v", "rng": "w"}]}')

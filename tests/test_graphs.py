@@ -22,6 +22,7 @@ from clpa.graphs import (
 
 from conftest import (
     brute_force_paths_into,
+    comet,
     cycle,
     fan,
     loop,
@@ -277,6 +278,22 @@ class TestSubobjectSystem:
         idx = [system.nodes.index(c) for c in chain]
         assert system.leq(idx[0], idx[1]) and system.leq(idx[1], idx[2])
         assert system.top_index == idx[2]
+
+    @pytest.mark.parametrize("obj", [fan(3), fan(4), comet(1), comet(2)],
+                             ids=["fan3", "fan4", "comet1", "comet2"])
+    def test_covers_match_the_definition(self, obj):
+        system = subobject_system(obj)
+        n = len(system.nodes)
+        want = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and system.leq(i, j) and not any(
+                k not in (i, j) and system.leq(i, k) and system.leq(k, j)
+                for k in range(n)
+            )
+        ]
+        assert system.covers() == want
 
     def test_all_nodes_complete(self):
         obj = fan(2, s_on=True)

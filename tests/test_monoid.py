@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clpa.errors import NotAnExit
 from clpa.graphs import predicates
@@ -19,6 +21,7 @@ from clpa.monoid import (
 
 from conftest import (
     NO_EXIT_CORPUS,
+    binary_tree,
     cycle_with_exit,
     fan,
     loop,
@@ -76,9 +79,40 @@ class TestEqual:
         assert equal(pres, v, target, depth=1).verdict == "unknown"
         assert equal(pres, v, target, depth=4).verdict == "yes"
 
+    def test_tree_root_against_its_leaves(self):
+        # 31 vertices: the root equals the sum of its 16 leaves, which no
+        # bounded search reaches; the invariant decides it with no search
+        obj, root, leaves = binary_tree(4)
+        pres = presentation(obj)
+        assert len(leaves) == 16
+        all_leaves = pres.element(*leaves)
+        assert equal(pres, pres.element(root), all_leaves, depth=0).verdict == "yes"
+        short = equal(pres, pres.element(root), pres.element(*leaves[1:]))
+        assert short.verdict == "no" and short.separating_functional is not None
+        children = pres.element(root + "0", root + "1")
+        assert equal(pres, pres.element(root), children).verdict == "yes"
+        assert equal(pres, pres.element(leaves[0]), pres.element(leaves[1])).verdict == "no"
+
     def test_reflexive(self):
         pres = presentation(loop())
         assert equal(pres, pres.element("v"), pres.element("v")).verdict == "yes"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_equal_decides_on_no_exit_objects(seed, data):
+    pres = presentation(random_no_exit_object(random.Random(seed)))
+    inv = path_count_invariant(pres)
+    assert inv is not None
+    elements = st.lists(st.sampled_from(pres.generators), max_size=4).map(
+        lambda gens: MonoidElement.of(*gens)
+    )
+    for _ in range(5):
+        a, b = data.draw(elements), data.draw(elements)
+        answer = equal(pres, a, b)
+        assert answer.verdict != "unknown"
+        same = invariant_value(inv, a) == invariant_value(inv, b)
+        assert (answer.verdict == "yes") == same
 
 
 class TestInvariant:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clpa.errors import NoCycle, NotAnExit
+from clpa.errors import NoCycle, NotAnExit, NotNoExitObject
 from clpa.graphs import predicates
 from clpa.reports import (
     artinian_failure_witness,
@@ -12,12 +12,14 @@ from clpa.reports import (
     relgraph_verify,
     report,
 )
+from clpa.scalars import PrimeField
 
 from conftest import (
     cycle,
     cycle_with_exit,
     fan,
     loop,
+    loop_with_exit,
     random_no_exit_object,
     random_object,
     rose,
@@ -74,6 +76,13 @@ class TestReportVerdicts:
         cited = {e.code for e in rep.entries if e.citation_only}
         assert cited == {"12", "13", "14"}
 
+    def test_field_reaches_witnesses(self):
+        gf3 = PrimeField(3)
+        for obj, name, elements in ((rose(), "noetherian_chain", "elements"),
+                                    (loop(), "artinian_failure", "chain")):
+            rep = report(obj, field=gf3)
+            assert getattr(rep.witnesses[name], elements)[0].ctx.field == gf3
+
     def test_json_shape(self):
         data = report(loop()).to_json()
         assert {"object", "relative_graph", "families", "conditions", "notes",
@@ -88,7 +97,13 @@ class TestNoetherianWitness:
         cycles = predicates(obj.graph).cycles
         witness = noetherian_chain_witness(obj, cycles[0], 3)
         assert len(witness.elements) == 3
-        assert any("strictness evidence" in s for s in witness.statements)
+        for n in (1, 2, 3):
+            assert f"checked g_{n} idempotent" in witness.statements
+            assert f"checked g_{n+1} g_{n} = g_{n} != g_{n+1}" in witness.statements
+            assert any(
+                s.startswith(f"so g_{n+1} is not in A g_{n} and A g_{n} < A g_{n+1} strictly")
+                for s in witness.statements
+            )
 
     def test_requires_exit(self):
         obj = loop()
@@ -111,13 +126,32 @@ class TestArtinianWitness:
         assert len(witness.powers) == 3 and len(witness.chain) == 3
         text = witness.transcript()
         assert "image of h_1 is t^1" in text
-        assert "strictness evidence at bound 4" in text
+        for n in (1, 2, 3):
+            assert (f"checked classification image of d_{n} = (v - c)^{n} is "
+                    f"(1 - t)^{n} e") in text
+            assert f"so d_{n} is not in A d_{n+1}, as 1 - t is not a unit" in text
 
     def test_two_cycle_images(self):
         obj = cycle(2)
         (c,) = predicates(obj.graph).cycles
         witness = artinian_failure_witness(obj, c, 2)
         assert "image of h_2 is t^2" in witness.transcript()
+
+    def test_image_check_over_prime_field(self):
+        obj = cycle(2)
+        (c,) = predicates(obj.graph).cycles
+        witness = artinian_failure_witness(obj, c, 4, field=PrimeField(2))
+        assert "(1 - t)^4 e" in witness.transcript()
+        assert witness.chain[0].ctx.field == PrimeField(2)
+
+    def test_loop_with_exit_does_not_classify(self):
+        # the loop lies in S but has an exit: graded artinian fails, so there
+        # is no artinian-failure witness to give
+        obj = loop_with_exit()
+        (c,) = predicates(obj.graph).cycles
+        assert not report(obj).verdict("17l")
+        with pytest.raises(NotNoExitObject):
+            artinian_failure_witness(obj, c, 2)
 
     def test_requires_cycle_in_s(self):
         obj = loop(False)
