@@ -197,15 +197,6 @@ class AlgebraElement:
         if other.ctx != self.ctx:
             raise ContextMismatch("elements live in different algebra contexts")
 
-    def coeff(self, m: Monomial) -> Scalar:
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return self.ctx.field.zero
-
-    def monomials(self) -> tuple:
-        return tuple(m for m, _ in self.terms)
-
     def __add__(self, other):
         self._check(other)
         return self.ctx.from_raw(
@@ -256,12 +247,6 @@ class AlgebraElement:
         return {
             d: AlgebraElement(self.ctx, tuple(parts)) for d, parts in sorted(out.items())
         }
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        degrees = {m.degree for m, _ in self.terms}
-        if degree is None:
-            return len(degrees) <= 1
-        return degrees <= {degree}
 
     def __str__(self):
         if not self.terms:

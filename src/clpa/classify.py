@@ -29,7 +29,6 @@ from ._linalg import rank_of_sparse
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
-    Monomial,
     check_generator_map,
     evaluate_element,
     evaluate_monomial,
@@ -37,6 +36,7 @@ from .algebra import (
 )
 from .errors import ClassificationBug, NotNoExitObject
 from .gradedmat import (
+    GradedMatrix,
     GradedMatrixAlgebra,
     MatricialSignature,
     MatTuple,
@@ -108,13 +108,16 @@ def blocks_of(obj: CLObject) -> tuple:
     return tuple(out)
 
 
-def classify(obj: CLObject) -> MatricialSignature:
-    """The canonical matricial signature of a no-exit object."""
-    blocks = blocks_of(obj)
+def _signature(blocks) -> MatricialSignature:
     return MatricialSignature(
         tuple((b.size, b.shifts) for b in blocks if b.kind != "cycle"),
         tuple((b.size, b.cycle.length, b.shifts) for b in blocks if b.kind == "cycle"),
     )
+
+
+def classify(obj: CLObject) -> MatricialSignature:
+    """The canonical matricial signature of a no-exit object."""
+    return _signature(blocks_of(obj))
 
 
 @dataclass(frozen=True)
@@ -134,28 +137,23 @@ class GeneratorMap:
         return direct_sum_unit(self.algebras, block, i, j, tpow)
 
 
-def _factor_path(g, block: Block, path: Path):
-    """Write ``path`` (ending at the block target) as q_i . c^k; (i, k)."""
-    if block.kind != "cycle":
-        try:
-            return block.paths.index(path), 0
-        except ValueError:
-            raise ClassificationBug(
-                f"path {path} into {block.target} is not in the enumeration"
-            ) from None
-    vseq = g.path_vertices(path)
-    idx = vseq.index(block.target)
-    prefix = Path(path.source, path.edges[:idx])
-    rest = path.edges[idx:]
-    turns, cyc = divmod(len(rest), block.cycle.length)
-    if cyc != 0 or rest != block.cycle.edges * turns:
-        raise ClassificationBug(f"path {path} does not factor through cycle {block.cycle}")
-    try:
-        return block.paths.index(prefix), turns
-    except ValueError:
-        raise ClassificationBug(
-            f"prefix {prefix} of {path} is not in the enumeration of {block.target}"
-        ) from None
+def _factor_path(g, block: Block, index: dict, path: Path):
+    """Write ``path`` (ending at the block target) as q_i . c^k; (i, k).
+
+    ``index`` maps each enumerated path of the block to its position.
+    """
+    turns = 0
+    if block.kind == "cycle":
+        cut = g.path_vertices(path).index(block.target)
+        rest = path.edges[cut:]
+        turns, cyc = divmod(len(rest), block.cycle.length)
+        if cyc != 0 or rest != block.cycle.edges * turns:
+            raise ClassificationBug(f"path {path} does not factor through cycle {block.cycle}")
+        path = Path(path.source, path.edges[:cut])
+    i = index.get(path)
+    if i is None:
+        raise ClassificationBug(f"path {path} is not in the enumeration of {block.target}")
+    return i, turns
 
 
 def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
@@ -163,87 +161,85 @@ def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
     """Construct and fully verify the generator map of a no-exit object.
 
     ``sig``, when given, must equal ``classify(obj)``; it is cross-checked.
+    Path q_j of a block puts e_jj into the image of its source, and each
+    edge e into that source puts e_ij t^k into the image of e, where
+    e.q_j = q_i c^k.
     """
     blocks = blocks_of(obj)
-    if sig is not None and sig != classify(obj):
+    if sig is not None and sig != _signature(blocks):
         raise ValueError("supplied signature does not match the classification")
-    ctx = AlgebraContext(obj, field)
     g = obj.graph
     algebras = tuple(b.algebra(field) for b in blocks)
-
-    images: dict = {}
-    for v in sorted(g.vertices):
-        total = MatTuple(tuple(a.zero() for a in algebras))
-        for bi, b in enumerate(blocks):
-            for i, q in enumerate(b.paths):
-                if q.source == v:
-                    total = total + direct_sum_unit(algebras, bi, i, i)
-        images[v] = total
-    for e in sorted(g.edge_ids()):
-        w = g.rng(e)
-        total = MatTuple(tuple(a.zero() for a in algebras))
-        for bi, b in enumerate(blocks):
-            for j, q in enumerate(b.paths):
-                if q.source != w:
-                    continue
-                extended = Path(g.src(e), (e,) + q.edges)
-                i, k = _factor_path(g, b, extended)
-                total = total + direct_sum_unit(algebras, bi, i, j, k)
-        images[e] = total
-
-    gmap = GeneratorMap(obj, ctx, blocks, algebras, images)
+    terms = {x: [{} for _ in blocks] for x in sorted(g.vertices) + sorted(g.edge_ids())}
+    for bi, b in enumerate(blocks):
+        index = {q: i for i, q in enumerate(b.paths)}
+        for j, q in enumerate(b.paths):
+            terms[q.source][bi][(j, j, 0)] = field.one
+            for e in g.in_edges(q.source):
+                i, k = _factor_path(g, b, index, Path(g.src(e), (e,) + q.edges))
+                terms[e][bi][(i, j, k)] = field.one
+    images = {x: MatTuple(tuple(GradedMatrix(a, t) for a, t in zip(algebras, per_block)))
+              for x, per_block in terms.items()}
+    gmap = GeneratorMap(obj, AlgebraContext(obj, field), blocks, algebras, images)
     _verify_generator_map(gmap)
     return gmap
 
 
 def _verify_generator_map(gmap: GeneratorMap) -> None:
+    """Check the axioms, then that the images hit every unit of every block.
+
+    Once the axioms hold, the images extend to a graded *-homomorphism phi,
+    and phi(q_i mid q_j*) = P_i M P_j* with P_q = phi(q) and M = phi(mid),
+    where mid = w for a sink or cycle base w, and w minus the sum of e e*
+    over its edges for a regular target outside S (its block tracks that
+    complement).  For a cycle block, q_i c and q_j c give the units times
+    t and t^-1, with C = phi(c) inserted.
+    """
     report = check_generator_map(gmap.obj, gmap.images)
     if not report.ok:
         raise ClassificationBug(
             "generator map fails axioms: " + "; ".join(report.failures + report.degree_failures)
         )
-    ctx = gmap.ctx
     g = gmap.obj.graph
+    images = gmap.images
     for bi, b in enumerate(gmap.blocks):
-        period = b.cycle.length if b.kind == "cycle" else None
         w = b.target
-        # the element whose i,j-compression hits the block unit: q_i mid q_j*,
-        # where mid = w for sinks and cycle bases, but w minus its expansion
-        # for a regular target outside S (its block tracks the complement)
-        mid = ctx.vertex(w)
+        mid = images[w]
         if b.kind == "unrelated":
-            mid = mid - ctx.from_raw(
-                [
-                    (ctx.field.one, Monomial(g.make_path([e]), g.make_path([e])))
-                    for e in g.out_edges(w)
-                ]
-            )
-        for i, qi in enumerate(b.paths):
-            for j, qj in enumerate(b.paths):
-                checks = [(qi, qj, 0)]
-                if b.kind == "cycle":
-                    cpath = b.cycle.as_path(g)
-                    checks.append((g.compose(qi, cpath), qj, 1))
-                    checks.append((qi, g.compose(qj, cpath), -1))
-                for left, right, tpow in checks:
-                    z = (
-                        ctx.from_raw([(ctx.field.one, Monomial(left, Path(w)))])
-                        * mid
-                        * ctx.from_raw([(ctx.field.one, Monomial(Path(w), right))])
-                    )
-                    got = gmap.evaluate(z)
-                    want = gmap.block_unit(bi, i, j, tpow)
-                    if not (got - want).is_zero():
+            for e in g.out_edges(w):
+                mid = mid - images[e] * images[e].star()
+        # paths are sorted by length, so the suffix q' of q = e.q' comes first
+        image_of = {}
+        for q in b.paths:
+            if q.edges:
+                suffix = Path(g.rng(q.edges[0]), q.edges[1:])
+                image_of[q] = images[q.edges[0]] * image_of[suffix]
+            else:
+                image_of[q] = images[w]
+        lefts = [[(image_of[q] * mid, 0)] for q in b.paths]
+        if b.kind == "cycle":
+            cyc = images[b.cycle.edges[0]]
+            for e in b.cycle.edges[1:]:
+                cyc = cyc * images[e]
+            for q, row in zip(b.paths, lefts):
+                row.append((image_of[q] * cyc * mid, 1))
+                row.append((image_of[q] * mid * cyc.star(), -1))
+        rights = [image_of[q].star() for q in b.paths]
+        period = b.cycle.length if b.kind == "cycle" else 0
+        for i, (qi, row) in enumerate(zip(b.paths, lefts)):
+            for j, (qj, right) in enumerate(zip(b.paths, rights)):
+                for left, tpow in row:
+                    got = left * right
+                    if not (got - gmap.block_unit(bi, i, j, tpow)).is_zero():
                         raise ClassificationBug(
-                            f"unit e[{bi}]_{i}{j} t^{tpow} is not hit: "
-                            f"{z} evaluates to {got}"
+                            f"unit e[{bi}]_{i}{j} t^{tpow} is not hit: the image of "
+                            f"{qi} mid {qj}* (with {tpow} turns of the cycle) is {got}"
                         )
-                    # left/right already carry the k cycle turns, so this is
-                    # |q_i| + k*n - |q_j|
-                    expected_degree = len(left) - len(right)
+                    expected_degree = len(qi) - len(qj) + tpow * period
                     if not set(got.degree_components()) <= {expected_degree}:
                         raise ClassificationBug(
-                            f"degree of image of {z} is not {expected_degree}"
+                            f"degree of the image of {qi} mid {qj}* (with {tpow} turns "
+                            f"of the cycle) is not {expected_degree}"
                         )
 
 

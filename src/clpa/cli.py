@@ -204,12 +204,9 @@ def cmd_witness(args) -> int:
     obj = _load_graph(args.graph)
     facts = predicates(obj.graph)
     if args.kind != "artinian":
-        bifs = set(facts.bifurcations)
-        cycle = next(
-            (c for c in facts.cycles if c.vertex_set(obj.graph) & bifs), None
-        )
-        if cycle is None:
+        if not facts.exit_cycles:
             raise ClpaError("no cycle with an exit in the graph")
+        cycle = facts.exit_cycles[0]
         build = (monoid_mod.cancellation_witness if args.kind == "cancellation"
                  else reports_mod.noetherian_chain_witness)
         witness = build(obj, cycle, args.n, args.field)

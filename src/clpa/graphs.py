@@ -178,10 +178,29 @@ def find_cycles(graph: Graph) -> tuple:
     """All cycles (closed paths with pairwise distinct sources), canonical order.
 
     Each cycle is anchored at its minimal vertex so every cycle is produced
-    exactly once; parallel edges give distinct cycles.
+    exactly once; parallel edges give distinct cycles.  The walk runs only
+    in the core left after repeatedly trimming the vertices that emit or
+    receive no edge of what remains: no cycle passes through a trimmed one.
     """
+    core = set(graph.vertices)
+    n_out = {v: len(graph.out_edges(v)) for v in core}
+    n_in = {v: len(graph.in_edges(v)) for v in core}
+    trim = [v for v in core if not n_out[v] or not n_in[v]]
+    while trim:
+        v = trim.pop()
+        if v not in core:
+            continue
+        core.discard(v)
+        for e in graph.out_edges(v):
+            n_in[graph.rng(e)] -= 1
+            if not n_in[graph.rng(e)]:
+                trim.append(graph.rng(e))
+        for e in graph.in_edges(v):
+            n_out[graph.src(e)] -= 1
+            if not n_out[graph.src(e)]:
+                trim.append(graph.src(e))
     cycles = []
-    for anchor in sorted(graph.vertices):
+    for anchor in sorted(core):
         # depth-first walk with an explicit stack of out-edge iterators
         edges, on_path = [], {anchor}
         stack = [iter(graph.out_edges(anchor))]
@@ -195,7 +214,7 @@ def find_cycles(graph: Graph) -> tuple:
             nxt = graph.rng(eid)
             if nxt == anchor:
                 cycles.append(Cycle(tuple(edges) + (eid,)))
-            elif nxt > anchor and nxt not in on_path:
+            elif nxt > anchor and nxt in core and nxt not in on_path:
                 edges.append(eid)
                 on_path.add(nxt)
                 stack.append(iter(graph.out_edges(nxt)))
@@ -212,21 +231,21 @@ class GraphFacts:
     bifurcations: tuple
     regular_vertices: tuple
     cycles: tuple
+    exit_cycles: tuple        # the cycles through a bifurcation, in cycle order
 
 
 def predicates(graph: Graph) -> GraphFacts:
     cycles = find_cycles(graph)
-    cycle_vertices = set()
-    for c in cycles:
-        cycle_vertices |= c.vertex_set(graph)
     bifs = graph.bifurcations()
+    exit_cycles = tuple(c for c in cycles if not c.vertex_set(graph).isdisjoint(bifs))
     return GraphFacts(
         is_acyclic=not cycles,
-        is_no_exit=not (cycle_vertices & set(bifs)),
+        is_no_exit=not exit_cycles,
         sinks=graph.sinks(),
         bifurcations=bifs,
         regular_vertices=graph.regular_vertices(),
         cycles=cycles,
+        exit_cycles=exit_cycles,
     )
 
 

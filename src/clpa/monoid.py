@@ -17,6 +17,7 @@ at the algebra level, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ._linalg import nullspace_basis
@@ -88,6 +89,28 @@ class Presentation:
             raise ValueError(f"unknown generators: {sorted(unknown)}")
         return MonoidElement.of(*generators)
 
+    @cached_property
+    def functionals(self) -> list:
+        """A basis of additive functionals (over Q) constant on every relation."""
+        gens = self.generators
+        index = {g: i for i, g in enumerate(gens)}
+        rows = []
+        for v, rhs in self.relations:
+            row = [Fraction(0)] * len(gens)
+            row[index[v]] += 1
+            for g, m in rhs.counts:
+                row[index[g]] -= m
+            rows.append(row)
+        return nullspace_basis(rows, QQ) if rows else [
+            [Fraction(1) if j == i else Fraction(0) for j in range(len(gens))]
+            for i in range(len(gens))
+        ]
+
+    @cached_property
+    def invariant(self) -> Optional[dict]:
+        """The path-count invariant, or None when the relative graph has an exit."""
+        return path_count_invariant(self)
+
 
 def presentation(obj: CLObject) -> Presentation:
     rel = relative_graph(obj)
@@ -109,7 +132,7 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
     N^(#sinks + #cycles) and respect every relation, so they induce a monoid
     map onto a free commutative monoid (an isomorphism in this case).
     """
-    leavitt = rel_leavitt(pres)
+    leavitt = pres.rel.leavitt_object()
     try:
         blocks = blocks_of(leavitt)
     except NotNoExitObject:
@@ -119,10 +142,6 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
         v: tuple(sum(1 for q in b.paths if q.source == v) for b in blocks)
         for v in sorted(g.vertices)
     }
-
-
-def rel_leavitt(pres: Presentation) -> CLObject:
-    return pres.rel.leavitt_object()
 
 
 def invariant_value(invariant: dict, x: MonoidElement) -> tuple:
@@ -143,25 +162,6 @@ def relations_preserved(pres: Presentation, invariant: dict) -> list:
         if lhs_vec != rhs_vec:
             bad.append((v, rhs, lhs_vec, rhs_vec))
     return bad
-
-
-def _rational_functionals(pres: Presentation) -> list:
-    """A basis of additive functionals (over Q) constant on every relation."""
-    gens = pres.generators
-    index = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for v, rhs in pres.relations:
-        row = [Fraction(0)] * len(gens)
-        row[index[v]] += 1
-        for g, m in rhs.counts:
-            row[index[g]] -= m
-        rows.append(row)
-    if not rows:
-        rows = []
-    return nullspace_basis(rows, QQ) if rows else [
-        [Fraction(1) if j == i else Fraction(0) for j in range(len(gens))]
-        for i in range(len(gens))
-    ]
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,12 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
         return v
 
     diff = [x - y for x, y in zip(as_vector(a), as_vector(b))]
-    for functional in _rational_functionals(pres):
+    for functional in pres.functionals:
         value = sum(f * d for f, d in zip(functional, diff))
         if value:
             return EqualityAnswer("no", separating_functional=tuple(functional))
 
-    invariant = path_count_invariant(pres)
+    invariant = pres.invariant
     if invariant is not None:
         if invariant_value(invariant, a) != invariant_value(invariant, b):
             raise ClassificationBug(
@@ -330,7 +330,7 @@ def atomic_cancellative_verdict(obj: CLObject, n_max: int = 3) -> MonoidVerdict:
     already defeats cancellation), so the test is on the relative graph.
     """
     pres = presentation(obj)
-    invariant = path_count_invariant(pres)
+    invariant = pres.invariant
     if invariant is not None:
         bad = relations_preserved(pres, invariant)
         if bad:
@@ -341,10 +341,8 @@ def atomic_cancellative_verdict(obj: CLObject, n_max: int = 3) -> MonoidVerdict:
             "relative graph is no-exit: the monoid is free commutative on "
             f"{rank} generators (one per sink and per cycle)",
         )
-    leavitt = rel_leavitt(pres)
-    facts = predicates(leavitt.graph)
-    bifs = set(facts.bifurcations)
-    bad_cycle = next(c for c in facts.cycles if c.vertex_set(leavitt.graph) & bifs)
+    leavitt = pres.rel.leavitt_object()
+    bad_cycle = predicates(leavitt.graph).exit_cycles[0]
     witness = cancellation_witness(leavitt, bad_cycle, n_max)
     return MonoidVerdict(
         False, None, None, witness,

@@ -205,11 +205,9 @@ def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> Property
 
     notes = []
     witnesses: dict = {}
-    bifs = set(facts.bifurcations)
     if not no_exit:
-        bad = next(c for c in facts.cycles if c.vertex_set(rel.graph) & bifs)
         witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), bad, witness_depth, field
+            rel.leavitt_object(), facts.exit_cycles[0], witness_depth, field
         )
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "

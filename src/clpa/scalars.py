@@ -239,10 +239,6 @@ def parse_scalar(text: str, field: Field) -> Scalar:
     raise ParseError(f"cannot parse scalar {text!r}")
 
 
-def scalar_str(a: Scalar) -> str:
-    return str(a)
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """A Laurent polynomial sum(a_k t^k) whose generator t carries degree ``period``.
@@ -348,11 +344,11 @@ class LaurentPoly:
         parts = []
         for k, a in self.terms:
             if k == 0:
-                parts.append(scalar_str(a))
+                parts.append(str(a))
             else:
                 tpow = "t" if k == 1 else f"t^{k}"
                 one = self.field.one
-                parts.append(tpow if a == one else f"{scalar_str(a)}*{tpow}")
+                parts.append(tpow if a == one else f"{a}*{tpow}")
         return " + ".join(parts)
 
 

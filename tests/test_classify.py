@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from clpa.algebra import check_generator_map
 from clpa.classify import (
+    GeneratorMap,
+    _verify_generator_map,
     blocks_of,
     build_generator_map,
     check_no_exit_object,
@@ -12,8 +15,8 @@ from clpa.classify import (
     classify_system,
     monomial_independence,
 )
-from clpa.errors import NotNoExitObject
-from clpa.gradedmat import MatricialSignature
+from clpa.errors import ClassificationBug, NotNoExitObject
+from clpa.gradedmat import GradedMatrix, MatricialSignature, MatTuple
 from clpa.graphs import CLObject, Graph, predicates
 from clpa.scalars import PrimeField
 
@@ -24,6 +27,7 @@ from conftest import (
     cycle_with_tail,
     fan,
     loop,
+    loop_plus_sink,
     random_no_exit_object,
     rose,
     single_sink,
@@ -207,6 +211,12 @@ class TestGeneratorMaps:
         gmap = build_generator_map(no_exit_object, field=PrimeField(5))
         assert gmap.images
 
+    def test_signature_cross_check(self):
+        obj = cycle_with_tail()
+        assert build_generator_map(obj, sig=classify(obj)).blocks == blocks_of(obj)
+        with pytest.raises(ValueError, match="does not match"):
+            build_generator_map(obj, sig=classify(fan(2)))
+
     def test_random_objects_verify(self):
         rng = random.Random(77)
         for _ in range(20):
@@ -217,6 +227,39 @@ class TestGeneratorMaps:
         gmap = build_generator_map(no_exit_object)
         ok, count, rank = monomial_independence(gmap, max_each=3)
         assert ok, f"rank {rank} < {count}"
+
+
+@pytest.mark.parametrize("obj", [fan(2), cycle_with_tail(), loop_plus_sink()],
+                         ids=["fan2", "cycle_with_tail", "loop_plus_sink"])
+class TestVerifierRejects:
+    def test_block_no_generator_reaches(self, obj):
+        # a copy of the last block with zero images in it: the axioms still
+        # hold, but none of its units is hit
+        gmap = build_generator_map(obj)
+        extra = gmap.algebras[-1]
+        images = {x: MatTuple(img.blocks + (extra.zero(),)) for x, img in gmap.images.items()}
+        bad = GeneratorMap(obj, gmap.ctx, gmap.blocks + gmap.blocks[-1:],
+                           gmap.algebras + (extra,), images)
+        assert check_generator_map(obj, images).ok
+        with pytest.raises(ClassificationBug,
+                           match=rf"unit e\[{len(gmap.blocks)}\]_00 t\^0 is not hit"):
+            _verify_generator_map(bad)
+
+    def test_edge_image_missing_a_unit(self, obj):
+        gmap = build_generator_map(obj)
+        dropped = 0
+        for e in sorted(obj.graph.edge_ids()):
+            for bi, blk in enumerate(gmap.images[e].blocks):
+                for unit in blk.terms:
+                    blocks = list(gmap.images[e].blocks)
+                    blocks[bi] = GradedMatrix(blk.algebra, {
+                        u: a for u, a in blk.terms.items() if u != unit})
+                    images = {**gmap.images, e: MatTuple(tuple(blocks))}
+                    bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, gmap.algebras, images)
+                    with pytest.raises(ClassificationBug, match="fails axioms"):
+                        _verify_generator_map(bad)
+                    dropped += 1
+        assert dropped > 0
 
 
 class TestClassifySystem:

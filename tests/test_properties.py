@@ -9,6 +9,7 @@ from clpa.graphs import (
     CLObject,
     Graph,
     complete,
+    find_cycles,
     is_complete_subobject,
     predicates,
     relative_graph,
@@ -93,3 +94,44 @@ def test_vertex_sum_acts_as_identity(obj):
     for e in sorted(obj.graph.edge_ids()):
         assert ctx.edge(e) * one == ctx.edge(e)
         assert (ctx.ghost(e) * one).star() == ctx.edge(e)
+
+
+def _brute_force_cycles(g: Graph) -> list:
+    """Closed paths with pairwise distinct sources, each in canonical rotation
+    (starting at its smallest source), sorted by (length, edges)."""
+    out = []
+    stack = [((e,), frozenset({g.src(e)})) for e in g.edge_ids()]
+    while stack:
+        edges, sources = stack.pop()
+        at = g.rng(edges[-1])
+        if at == g.src(edges[0]) and at == min(sources):
+            out.append(edges)
+        stack.extend((edges + (e,), sources | {at})
+                     for e in g.out_edges(at) if at not in sources)
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+@st.composite
+def multigraphs_with_tails(draw):
+    """A multigraph on up to 5 vertices, with long tails into and out of it."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    core = [f"v{i}" for i in range(n)]
+    edges = [(f"e{k}", draw(st.sampled_from(core)), draw(st.sampled_from(core)))
+             for k in range(draw(st.integers(min_value=0, max_value=9)))]
+    vertices = list(core)
+    for t in range(draw(st.integers(min_value=0, max_value=3))):
+        length = draw(st.integers(min_value=1, max_value=30))
+        into = draw(st.booleans())
+        # "a" sorts before the core's ids and "x" after them
+        chain = [f"{'a' if into else 'x'}{t}_{i}" for i in range(length)]
+        end = draw(st.sampled_from(core))
+        chain = chain + [end] if into else [end] + chain
+        vertices.extend(v for v in chain if v not in core)
+        edges.extend((f"t{t}_{i}", u, w) for i, (u, w) in enumerate(zip(chain, chain[1:])))
+    return Graph(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs_with_tails())
+def test_find_cycles_matches_definition(g):
+    assert [c.edges for c in find_cycles(g)] == _brute_force_cycles(g)
