@@ -28,6 +28,7 @@ from .classify import (
 from .errors import ClpaError
 from .expr import parse_expression
 from .gradedmat import (
+    DirectSum,
     GradedMatrix,
     GradedMatrixAlgebra,
     MatricialSignature,

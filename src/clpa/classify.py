@@ -35,13 +35,7 @@ from .algebra import (
     normal_monomials,
 )
 from .errors import ClassificationBug, NotNoExitObject
-from .gradedmat import (
-    GradedMatrix,
-    GradedMatrixAlgebra,
-    MatricialSignature,
-    MatTuple,
-    direct_sum_unit,
-)
+from .gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
 from .graphs import CLObject, Cycle, Path, SubobjectSystem, paths_into, predicates, subobject_system
 from .scalars import QQ, Field
 
@@ -127,14 +121,14 @@ class GeneratorMap:
     obj: CLObject
     ctx: AlgebraContext
     blocks: tuple
-    algebras: tuple
+    algebra: DirectSum        # one summand per block, in block order
     images: dict
 
-    def evaluate(self, x: AlgebraElement) -> MatTuple:
+    def evaluate(self, x: AlgebraElement) -> GradedMatrix:
         return evaluate_element(x, self.images)
 
-    def block_unit(self, block: int, i: int, j: int, tpow: int = 0) -> MatTuple:
-        return direct_sum_unit(self.algebras, block, i, j, tpow)
+    def block_unit(self, block: int, i: int, j: int, tpow: int = 0) -> GradedMatrix:
+        return self.algebra.unit(block, i, j, tpow)
 
 
 def _factor_path(g, block: Block, index: dict, path: Path):
@@ -169,18 +163,17 @@ def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
     if sig is not None and sig != _signature(blocks):
         raise ValueError("supplied signature does not match the classification")
     g = obj.graph
-    algebras = tuple(b.algebra(field) for b in blocks)
-    terms = {x: [{} for _ in blocks] for x in sorted(g.vertices) + sorted(g.edge_ids())}
+    algebra = DirectSum(tuple(b.algebra(field) for b in blocks), field)
+    terms = {x: {} for x in sorted(g.vertices) + sorted(g.edge_ids())}
     for bi, b in enumerate(blocks):
         index = {q: i for i, q in enumerate(b.paths)}
         for j, q in enumerate(b.paths):
-            terms[q.source][bi][(j, j, 0)] = field.one
+            terms[q.source][(bi, j, j, 0)] = field.one
             for e in g.in_edges(q.source):
                 i, k = _factor_path(g, b, index, Path(g.src(e), (e,) + q.edges))
-                terms[e][bi][(i, j, k)] = field.one
-    images = {x: MatTuple(tuple(GradedMatrix(a, t) for a, t in zip(algebras, per_block)))
-              for x, per_block in terms.items()}
-    gmap = GeneratorMap(obj, AlgebraContext(obj, field), blocks, algebras, images)
+                terms[e][(bi, i, j, k)] = field.one
+    images = {x: GradedMatrix(algebra, t) for x, t in terms.items()}
+    gmap = GeneratorMap(obj, AlgebraContext(obj, field), blocks, algebra, images)
     _verify_generator_map(gmap)
     return gmap
 
@@ -202,7 +195,8 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
         )
     g = gmap.obj.graph
     images = gmap.images
-    for bi, b in enumerate(gmap.blocks):
+    one = gmap.algebra.base.one
+    for bi, (b, alg) in enumerate(zip(gmap.blocks, gmap.algebra.summands)):
         w = b.target
         mid = images[w]
         if b.kind == "unrelated":
@@ -230,13 +224,14 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
             for j, (qj, right) in enumerate(zip(b.paths, rights)):
                 for left, tpow in row:
                     got = left * right
-                    if not (got - gmap.block_unit(bi, i, j, tpow)).is_zero():
+                    if got.terms != {(bi, i, j, tpow): one}:
                         raise ClassificationBug(
                             f"unit e[{bi}]_{i}{j} t^{tpow} is not hit: the image of "
                             f"{qi} mid {qj}* (with {tpow} turns of the cycle) is {got}"
                         )
+                    # got is that unit, so its degree is the unit's
                     expected_degree = len(qi) - len(qj) + tpow * period
-                    if not set(got.degree_components()) <= {expected_degree}:
+                    if alg.unit_degree(i, j, tpow) != expected_degree:
                         raise ClassificationBug(
                             f"degree of the image of {qi} mid {qj}* (with {tpow} turns "
                             f"of the cycle) is not {expected_degree}"
@@ -259,9 +254,7 @@ def monomial_independence(
     monos = normal_monomials(ctx, max_each=max_each, max_bilength=max_bilength)
     vectors = []
     for m in monos:
-        img = evaluate_monomial(m, gmap.images)
-        vectors.append({(bi,) + unit: a for bi, block in enumerate(img.blocks)
-                        for unit, a in block.terms.items()})
+        vectors.append(evaluate_monomial(m, gmap.images).terms)
     rank = rank_of_sparse(vectors, gmap.ctx.field)
     return rank == len(monos), len(monos), rank
 

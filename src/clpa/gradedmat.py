@@ -4,8 +4,9 @@ A shift vector (g_1, ..., g_n) grades the n x n matrices by declaring the
 (i, j) entry of internal degree d to be homogeneous of degree d + g_i - g_j;
 the involution is the entry-wise involution composed with transposition.
 Over the base field entries are scalars (internal degree 0); over a Laurent
-ring of period n the entry t^k has internal degree k*n.  An element is stored
-sparsely, as the coefficients of its matrix units e_ij t^k.
+ring of period n the entry t^k has internal degree k*n.  An element of such
+an algebra, or of a finite direct sum of them, is stored sparsely, as the
+coefficients of its matrix units e_ij t^k keyed by (block, i, j, k).
 
 The classification invariant :class:`MatricialSignature` collects such blocks
 in a canonical form: shifts are normalized (for Laurent blocks up to circular
@@ -47,6 +48,11 @@ class GradedMatrixAlgebra:
         elif self.period is not None:
             raise ValueError("field kind carries no period")
 
+    @property
+    def summands(self) -> tuple:
+        """The algebra as a direct sum of one block (block index 0)."""
+        return (self,)
+
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "GradedMatrix":
@@ -54,19 +60,21 @@ class GradedMatrixAlgebra:
 
     def unit(self, i: int, j: int, tpow: int = 0, coeff: Optional[Scalar] = None) -> "GradedMatrix":
         """The matrix unit e_ij (times t^tpow for Laurent blocks); 0-indexed."""
+        self._check_unit(i, j, tpow)
+        u = GradedMatrix(self, {(0, i, j, tpow): self.base.one})
+        return u if coeff is None else u.scale(coeff)
+
+    def _check_unit(self, i: int, j: int, tpow: int) -> None:
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise IndexError(f"unit ({i}, {j}) outside a size-{self.size} block")
         if self.kind == "field" and tpow != 0:
             raise ValueError("no t in a field block")
-        u = GradedMatrix(self, {(i, j, tpow): self.base.one})
-        return u if coeff is None else u.scale(coeff)
 
     def identity(self) -> "GradedMatrix":
-        return GradedMatrix(self, {(i, i, 0): self.base.one for i in range(self.size)})
+        return GradedMatrix(self, {(0, i, i, 0): self.base.one for i in range(self.size)})
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
-        d = 0 if self.kind == "field" else tpow * self.period
-        return d + self.shifts[i] - self.shifts[j]
+        return tpow * (self.period or 0) + self.shifts[i] - self.shifts[j]
 
     def spread(self) -> int:
         return max(self.shifts) - min(self.shifts)
@@ -76,6 +84,34 @@ class GradedMatrixAlgebra:
         if self.kind == "field":
             return f"M_{self.size}(K)({shifts})"
         return f"M_{self.size}(K[t^{self.period},t^-{self.period}])({shifts})"
+
+
+@dataclass(frozen=True)
+class DirectSum:
+    """A finite direct sum of graded matrix algebras over one base field."""
+
+    summands: tuple
+    base: Field = QQ
+
+    def __post_init__(self):
+        for alg in self.summands:
+            if alg.base != self.base:
+                raise FieldMismatch(f"{alg.base!r} vs {self.base!r}")
+
+    @property
+    def size(self) -> int:
+        """The size of the block-diagonal matrices the sum embeds into."""
+        return sum(alg.size for alg in self.summands)
+
+    def zero(self) -> "GradedMatrix":
+        return GradedMatrix(self, {})
+
+    def unit(self, block: int, i: int, j: int, tpow: int = 0) -> "GradedMatrix":
+        """The matrix unit e_ij t^tpow of summand ``block``."""
+        if not 0 <= block < len(self.summands):
+            raise IndexError(f"block {block} outside a sum of {len(self.summands)}")
+        self.summands[block]._check_unit(i, j, tpow)
+        return GradedMatrix(self, {(block, i, j, tpow): self.base.one})
 
 
 def component_dim(algebra: GradedMatrixAlgebra, delta: int) -> int:
@@ -94,12 +130,14 @@ def _nonzero(terms: dict) -> dict:
 
 
 class GradedMatrix:
-    """A finite sum of matrix units: ``terms`` maps (i, j, k) to the nonzero
-    coefficient of e_ij t^k (k = 0 in field blocks)."""
+    """A finite sum of matrix units of a :class:`GradedMatrixAlgebra` or a
+    :class:`DirectSum`: ``terms`` maps (block, i, j, k) to the nonzero
+    coefficient of e_ij t^k in that summand (k = 0 in field blocks; block 0
+    in a single algebra)."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: GradedMatrixAlgebra, terms: dict):
+    def __init__(self, algebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
@@ -117,13 +155,14 @@ class GradedMatrix:
     def __hash__(self):
         return hash((self.algebra, frozenset(self.terms.items())))
 
-    def entry(self, i: int, j: int):
-        """The (i, j) entry: a scalar, or a LaurentPoly in Laurent blocks."""
-        alg = self.algebra
+    def entry(self, i: int, j: int, block: int = 0):
+        """The (i, j) entry of a summand: a scalar, or a LaurentPoly in Laurent blocks."""
+        alg = self.algebra.summands[block]
         if alg.kind == "field":
-            return self.terms.get((i, j, 0), alg.base.zero)
+            return self.terms.get((block, i, j, 0), alg.base.zero)
         return LaurentPoly(alg.period, tuple(
-            (k, a) for (r, c, k), a in self.terms.items() if (r, c) == (i, j)), alg.base)
+            (k, a) for (b, r, c, k), a in self.terms.items() if (b, r, c) == (block, i, j)),
+            alg.base)
 
     def __add__(self, other):
         self._check(other)
@@ -144,12 +183,12 @@ class GradedMatrix:
     def __mul__(self, other):
         self._check(other)
         rows: dict = {}
-        for (j, l, k), b in other.terms.items():
-            rows.setdefault(j, []).append((l, k, b))
+        for (blk, j, l, k), b in other.terms.items():
+            rows.setdefault((blk, j), []).append((l, k, b))
         out: dict = {}
-        for (i, j, k1), a in self.terms.items():
-            for l, k2, b in rows.get(j, ()):
-                u = (i, l, k1 + k2)
+        for (blk, i, j, k1), a in self.terms.items():
+            for l, k2, b in rows.get((blk, j), ()):
+                u = (blk, i, l, k1 + k2)
                 c = out.get(u)
                 out[u] = a * b if c is None else c + a * b
         return GradedMatrix(self.algebra, _nonzero(out))
@@ -162,7 +201,7 @@ class GradedMatrix:
     def star(self) -> "GradedMatrix":
         """The *-transpose: transpose with entry involution."""
         return GradedMatrix(self.algebra, {
-            (j, i, -k): involve(a) for (i, j, k), a in self.terms.items()})
+            (blk, j, i, -k): involve(a) for (blk, i, j, k), a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -171,84 +210,23 @@ class GradedMatrix:
         return GradedMatrix(self.algebra, {})
 
     def degree_components(self) -> dict:
-        g, n = self.algebra.shifts, self.algebra.period or 0
+        summands = self.algebra.summands
         out: dict = {}
-        for (i, j, k), a in self.terms.items():
-            out.setdefault(k * n + g[i] - g[j], {})[(i, j, k)] = a
+        for u, a in self.terms.items():
+            out.setdefault(summands[u[0]].unit_degree(*u[1:]), {})[u] = a
         return {delta: GradedMatrix(self.algebra, terms)
                 for delta, terms in sorted(out.items())}
 
     def __str__(self):
-        size = range(self.algebra.size)
-        return "[" + "; ".join(
-            ", ".join(str(self.entry(i, j)) for j in size) for i in size) + "]"
+        return " (+) ".join(
+            "[" + "; ".join(", ".join(str(self.entry(i, j, b)) for j in range(alg.size))
+                            for i in range(alg.size)) + "]"
+            for b, alg in enumerate(self.algebra.summands))
 
 
 def component_project(m: GradedMatrix, delta: int) -> GradedMatrix:
     """Keep only the units of homogeneous degree ``delta``."""
     return m.degree_components().get(delta, m.algebra.zero())
-
-
-@dataclass(frozen=True)
-class MatTuple:
-    """An element of a finite direct sum of graded matrix algebras."""
-
-    blocks: tuple
-
-    def _check(self, other: "MatTuple") -> None:
-        if not isinstance(other, MatTuple):
-            raise TypeError(f"expected MatTuple, got {type(other).__name__}")
-        if len(other.blocks) != len(self.blocks) or any(
-            a.algebra is not b.algebra and a.algebra != b.algebra
-            for a, b in zip(self.blocks, other.blocks)
-        ):
-            raise AlgebraMismatch("direct sums have different block structure")
-
-    def __add__(self, other):
-        self._check(other)
-        return MatTuple(tuple(a + b for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return MatTuple(tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __mul__(self, other):
-        self._check(other)
-        return MatTuple(tuple(
-            a * b if a.terms and b.terms else (b if a.terms else a)
-            for a, b in zip(self.blocks, other.blocks)))
-
-    def scale(self, a: Scalar) -> "MatTuple":
-        return MatTuple(tuple(b.scale(a) for b in self.blocks))
-
-    def star(self) -> "MatTuple":
-        return MatTuple(tuple(b.star() for b in self.blocks))
-
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
-
-    def zero(self) -> "MatTuple":
-        return MatTuple(tuple(b.zero() for b in self.blocks))
-
-    def degree_components(self) -> dict:
-        degrees = set()
-        per_block = [b.degree_components() for b in self.blocks]
-        for comp in per_block:
-            degrees |= set(comp)
-        return {
-            d: MatTuple(tuple(
-                comp.get(d, blk.zero()) for comp, blk in zip(per_block, self.blocks)))
-            for d in sorted(degrees)
-        }
-
-    def __str__(self):
-        return " (+) ".join(str(b) for b in self.blocks)
-
-
-def direct_sum_unit(algebras, block: int, i: int, j: int, tpow: int = 0) -> MatTuple:
-    blocks = [a.zero() for a in algebras]
-    blocks[block] = algebras[block].unit(i, j, tpow)
-    return MatTuple(tuple(blocks))
 
 
 # -- the classification invariant ---------------------------------------------
@@ -270,6 +248,16 @@ def canonical_laurent_shifts(shifts, period: int) -> tuple:
     return min(tuple(sorted((x + d) % period for x in reduced)) for d in range(period))
 
 
+def _check_block(size, shifts, period=None) -> None:
+    """A block needs integer data, one shift per index, size and period >= 1."""
+    data = (size, *shifts) if period is None else (size, period, *shifts)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in data):
+        raise GraphFormatError(f"block sizes, periods and shifts must be integers: {data}")
+    if size < 1 or size != len(shifts) or (period is not None and period < 1):
+        what = f"size {size}" if period is None else f"size {size} and period {period}"
+        raise GraphFormatError(f"block of {what} vs shifts {tuple(shifts)}")
+
+
 @dataclass(frozen=True)
 class MatricialSignature:
     """Canonical block data: (size, shifts) and (size, period, shifts) lists."""
@@ -278,16 +266,13 @@ class MatricialSignature:
     laurent_blocks: tuple = ()
 
     def __post_init__(self):
-        fb = tuple(sorted((int(k), canonical_field_shifts(sh))
-                          for k, sh in self.field_blocks))
-        lb = tuple(sorted((int(m), int(n), canonical_laurent_shifts(sh, int(n)))
+        for k, sh in self.field_blocks:
+            _check_block(k, sh)
+        for m, n, sh in self.laurent_blocks:
+            _check_block(m, sh, n)
+        fb = tuple(sorted((k, canonical_field_shifts(sh)) for k, sh in self.field_blocks))
+        lb = tuple(sorted((m, n, canonical_laurent_shifts(sh, n))
                           for m, n, sh in self.laurent_blocks))
-        for k, sh in fb:
-            if k != len(sh) or k < 1:
-                raise GraphFormatError(f"field block size {k} vs shifts {sh}")
-        for m, n, sh in lb:
-            if m != len(sh) or m < 1 or n < 1:
-                raise GraphFormatError(f"laurent block ({m},{n}) vs shifts {sh}")
         object.__setattr__(self, "field_blocks", fb)
         object.__setattr__(self, "laurent_blocks", lb)
 
@@ -391,13 +376,17 @@ def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> Optional[Blo
 
 def _verify_block_match(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra,
                         match: BlockMatch) -> bool:
-    """Check the unit-level map: multiplicative, *-compatible, degree preserving."""
+    """Check the unit-level map e_ij t^k -> e_{p(i)p(j)} t^(k + c_i - c_j).
+
+    As e_ij e_kl = delta_jk e_il, the map is multiplicative exactly when the
+    permutation p is injective, and it is then a bijection of matrix units;
+    so it checks that p permutes the indices, that the map commutes with the
+    involution, and that it preserves the degree of every unit.
+    """
     n = a.size
     perm, c = match.permutation, match.tpowers
-
-    def image(i, j, k=0):
-        return b.unit(perm[i], perm[j], k + c[i] - c[j])
-
+    if b.size != n or sorted(perm) != list(range(n)):
+        return False
     exps = (0,) if a.kind == "field" else (-1, 0, 1)
     for i in range(n):
         for j in range(n):
@@ -406,16 +395,10 @@ def _verify_block_match(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra,
                     perm[i], perm[j], k + c[i] - c[j]
                 ):
                     return False
-            if not (image(i, j).star() - image(j, i)).is_zero():
+            if b.unit(perm[i], perm[j], c[i] - c[j]).star() != b.unit(
+                perm[j], perm[i], c[j] - c[i]
+            ):
                 return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    got = image(i, j) * image(k, l)
-                    want = image(i, l) if j == k else b.zero()
-                    if not (got - want).is_zero():
-                        return False
     return True
 
 

@@ -47,7 +47,7 @@ class Graph:
             if eid in seen:
                 raise GraphFormatError(f"duplicate edge id {eid!r}")
             seen.add(eid)
-            if src not in vs or rng not in vs:
+            if not (isinstance(src, str) and src in vs and isinstance(rng, str) and rng in vs):
                 raise GraphFormatError(f"edge {eid!r} has undeclared endpoint")
             es.append((eid, src, rng))
         if vs & seen:
@@ -178,30 +178,38 @@ def find_cycles(graph: Graph) -> tuple:
     """All cycles (closed paths with pairwise distinct sources), canonical order.
 
     Each cycle is anchored at its minimal vertex so every cycle is produced
-    exactly once; parallel edges give distinct cycles.  The walk runs only
-    in the core left after repeatedly trimming the vertices that emit or
-    receive no edge of what remains: no cycle passes through a trimmed one.
+    exactly once; parallel edges give distinct cycles.  The walks run only
+    in the core: the vertices left after repeatedly trimming those that emit
+    or receive no edge of what remains.  No cycle passes through a trimmed
+    vertex, and once every cycle through an anchor is found the anchor is
+    trimmed too, so a later walk never enters it or what it alone kept alive.
     """
     core = set(graph.vertices)
     n_out = {v: len(graph.out_edges(v)) for v in core}
     n_in = {v: len(graph.in_edges(v)) for v in core}
-    trim = [v for v in core if not n_out[v] or not n_in[v]]
-    while trim:
-        v = trim.pop()
-        if v not in core:
-            continue
-        core.discard(v)
-        for e in graph.out_edges(v):
-            n_in[graph.rng(e)] -= 1
-            if not n_in[graph.rng(e)]:
-                trim.append(graph.rng(e))
-        for e in graph.in_edges(v):
-            n_out[graph.src(e)] -= 1
-            if not n_out[graph.src(e)]:
-                trim.append(graph.src(e))
+
+    def trim(pending):
+        while pending:
+            v = pending.pop()
+            if v not in core:
+                continue
+            core.discard(v)
+            for e in graph.out_edges(v):
+                n_in[graph.rng(e)] -= 1
+                if not n_in[graph.rng(e)]:
+                    pending.append(graph.rng(e))
+            for e in graph.in_edges(v):
+                n_out[graph.src(e)] -= 1
+                if not n_out[graph.src(e)]:
+                    pending.append(graph.src(e))
+
+    trim([v for v in core if not n_out[v] or not n_in[v]])
     cycles = []
     for anchor in sorted(core):
-        # depth-first walk with an explicit stack of out-edge iterators
+        if anchor not in core:
+            continue
+        # depth-first walk with an explicit stack of out-edge iterators; every
+        # core vertex below the anchor has been trimmed as an earlier anchor
         edges, on_path = [], {anchor}
         stack = [iter(graph.out_edges(anchor))]
         while stack:
@@ -214,10 +222,11 @@ def find_cycles(graph: Graph) -> tuple:
             nxt = graph.rng(eid)
             if nxt == anchor:
                 cycles.append(Cycle(tuple(edges) + (eid,)))
-            elif nxt > anchor and nxt in core and nxt not in on_path:
+            elif nxt in core and nxt not in on_path:
                 edges.append(eid)
                 on_path.add(nxt)
                 stack.append(iter(graph.out_edges(nxt)))
+        trim([anchor])
     return tuple(sorted(cycles, key=lambda c: (c.length, c.edges)))
 
 
@@ -257,7 +266,7 @@ class CLObject:
     s_set: frozenset
 
     def __init__(self, graph: Graph, s_set: Iterable[str] = ()):
-        ss = frozenset(s_set)
+        ss = frozenset(_check_id("vertex", v) for v in s_set)
         regular = set(graph.regular_vertices())
         bad = ss - regular
         if bad:
@@ -527,12 +536,12 @@ def object_to_json(obj: CLObject) -> dict:
 def object_from_json(data) -> CLObject:
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
-    try:
-        vertices = data["vertices"]
-        raw_edges = data.get("edges", [])
-        s_set = data.get("S", [])
-    except (TypeError, KeyError) as exc:
-        raise GraphFormatError(f"graph JSON missing field: {exc}") from exc
+    if "vertices" not in data:
+        raise GraphFormatError("graph JSON missing field: 'vertices'")
+    vertices, raw_edges, s_set = data["vertices"], data.get("edges", []), data.get("S", [])
+    for name, value in (("vertices", vertices), ("edges", raw_edges), ("S", s_set)):
+        if not isinstance(value, list):
+            raise GraphFormatError(f"graph JSON field {name!r} must be a list")
     edges = []
     for e in raw_edges:
         try:

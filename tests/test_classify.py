@@ -16,7 +16,7 @@ from clpa.classify import (
     monomial_independence,
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
-from clpa.gradedmat import GradedMatrix, MatricialSignature, MatTuple
+from clpa.gradedmat import DirectSum, GradedMatrix, MatricialSignature
 from clpa.graphs import CLObject, Graph, predicates
 from clpa.scalars import PrimeField
 
@@ -170,7 +170,7 @@ class TestLargeObjects:
         assert [(b.kind, b.size) for b in gmap.blocks] == sizes
         one = gmap.ctx.field.one
         for img in gmap.images.values():
-            assert all(a == one for blk in img.blocks for a in blk.terms.values())
+            assert all(a == one for a in img.terms.values())
 
 
 class TestGeneratorMaps:
@@ -236,10 +236,10 @@ class TestVerifierRejects:
         # a copy of the last block with zero images in it: the axioms still
         # hold, but none of its units is hit
         gmap = build_generator_map(obj)
-        extra = gmap.algebras[-1]
-        images = {x: MatTuple(img.blocks + (extra.zero(),)) for x, img in gmap.images.items()}
-        bad = GeneratorMap(obj, gmap.ctx, gmap.blocks + gmap.blocks[-1:],
-                           gmap.algebras + (extra,), images)
+        algebra = DirectSum(gmap.algebra.summands + gmap.algebra.summands[-1:],
+                            gmap.algebra.base)
+        images = {x: GradedMatrix(algebra, img.terms) for x, img in gmap.images.items()}
+        bad = GeneratorMap(obj, gmap.ctx, gmap.blocks + gmap.blocks[-1:], algebra, images)
         assert check_generator_map(obj, images).ok
         with pytest.raises(ClassificationBug,
                            match=rf"unit e\[{len(gmap.blocks)}\]_00 t\^0 is not hit"):
@@ -249,16 +249,14 @@ class TestVerifierRejects:
         gmap = build_generator_map(obj)
         dropped = 0
         for e in sorted(obj.graph.edge_ids()):
-            for bi, blk in enumerate(gmap.images[e].blocks):
-                for unit in blk.terms:
-                    blocks = list(gmap.images[e].blocks)
-                    blocks[bi] = GradedMatrix(blk.algebra, {
-                        u: a for u, a in blk.terms.items() if u != unit})
-                    images = {**gmap.images, e: MatTuple(tuple(blocks))}
-                    bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, gmap.algebras, images)
-                    with pytest.raises(ClassificationBug, match="fails axioms"):
-                        _verify_generator_map(bad)
-                    dropped += 1
+            img = gmap.images[e]
+            for unit in img.terms:
+                images = {**gmap.images, e: GradedMatrix(img.algebra, {
+                    u: a for u, a in img.terms.items() if u != unit})}
+                bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, gmap.algebra, images)
+                with pytest.raises(ClassificationBug, match="fails axioms"):
+                    _verify_generator_map(bad)
+                dropped += 1
         assert dropped > 0
 
 

@@ -1,12 +1,19 @@
 """Expression grammar and the command-line front end."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clpa.algebra import AlgebraContext
+from clpa.cli import main
 from clpa.errors import ParseError
 from clpa.expr import parse_expression
 from clpa.graphs import object_to_json
@@ -289,3 +296,135 @@ class TestCli:
         obj = fan(2, s_on=True)
         data = object_to_json(obj)
         assert json.loads(json.dumps(data, sort_keys=True)) == data
+
+
+# -- fuzzing the command line in process ------------------------------------------
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text("vwa{} ", max_size=3)
+    | st.floats(-2, 5, allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "src", "size", "v"]), inner, max_size=3),
+    max_leaves=6,
+)
+_nasty = st.sampled_from([0, 5, 1.5, "2", None, True, {}, [], [["a"]], {"a": 1}]) | _junk
+
+
+@st.composite
+def _corrupted(draw, valid):
+    """A valid JSON document with one place, the shallower the likelier,
+    replaced by junk or deleted."""
+    data = draw(valid)
+    container = data
+    while container:
+        key = draw(st.sampled_from(sorted(container) if isinstance(container, dict)
+                                   else range(len(container))))
+        if container[key] and isinstance(container[key], (dict, list)) and draw(st.booleans()):
+            container = container[key]
+        elif isinstance(container, dict) and not draw(st.integers(0, 3)):
+            del container[key]
+            break
+        else:
+            container[key] = draw(_nasty)
+            break
+    return data
+
+
+@st.composite
+def _graph(draw):
+    vertices = draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True))
+    edges = [{"id": eid, "src": draw(st.sampled_from(vertices)),
+              "rng": draw(st.sampled_from(vertices))}
+             for eid in draw(st.lists(st.sampled_from("efgh"), max_size=4, unique=True))]
+    sources = sorted({e["src"] for e in edges})
+    s_set = draw(st.lists(st.sampled_from(sources), unique=True)) if sources else []
+    return {"vertices": vertices, "edges": edges, "S": s_set}
+
+
+@st.composite
+def _signature(draw):
+    def block(laurent):
+        size = draw(st.integers(1, 3))
+        shifts = draw(st.lists(st.integers(-2, 4), min_size=size, max_size=size))
+        if laurent:
+            return {"size": size, "period": draw(st.integers(1, 3)), "shifts": shifts}
+        return {"size": size, "shifts": shifts}
+
+    return {"field_blocks": [block(False) for _ in range(draw(st.integers(0, 2)))],
+            "laurent_blocks": [block(True) for _ in range(draw(st.integers(0, 2)))]}
+
+
+@st.composite
+def _file_text(draw, kind):
+    """Mostly a valid file of the kind with one place corrupted."""
+    valid = _graph() if kind == "graph" else _signature()
+    choice = draw(st.integers(0, 9))
+    if choice == 9:
+        return draw(st.sampled_from(["", "{", "not json"]))
+    shape = (_corrupted(valid) if choice < 6 else valid if choice < 8
+             else st.one_of(_graph(), _signature(), _junk))
+    return json.dumps(draw(shape))
+
+
+_COMMON_OPTIONS = [["--json"], ["--field", "gf:2"], ["--field", "gf:3"]]
+_OPTIONS = {"witness": [["--n", "1"], ["--n", "2"]],
+            "complete": [["--system"], ["--dot", "@dot"], ["--sub", "@b"]]}
+_BAD_OPTIONS = [["--field", "gf:4"], ["--field", "x"], ["--kind", "other"], ["--n", "0"],
+                ["--n", "two"], ["--system"], ["--graph", "@missing"]]
+_expression = (st.sampled_from(["v", "u", "e", "e|e", "e.f", "v + 2 * u - v"])
+               | st.text("uvwefgh|.+-*12/ ()", max_size=8))
+
+
+@st.composite
+def _invocation(draw):
+    """A mostly well-formed argument vector and the contents of files @a and @b."""
+    command = draw(st.sampled_from(
+        ["analyze", "classify", "relgraph", "complete", "monoid", "witness", "iso", "eval"]))
+    kind = "signature" if command == "iso" else "graph"
+    args = {"iso": ["@a", "@b"], "eval": [draw(_expression), "--graph", "@a"]}.get(command, ["@a"])
+    if command == "witness":
+        args += ["--kind", draw(st.sampled_from(["noetherian", "artinian", "cancellation"]))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        args = draw(st.lists(st.sampled_from(["@a", "@b", "@missing"]) | _expression, max_size=3))
+    options = draw(st.lists(st.sampled_from(_COMMON_OPTIONS + _OPTIONS.get(command, [])),
+                            max_size=2))
+    if draw(st.booleans()) and draw(st.booleans()):
+        options.append(draw(st.sampled_from(_BAD_OPTIONS)))
+    argv = [command, *args, *(a for opt in options for a in opt)]
+    return argv, draw(_file_text(kind)), draw(_file_text(kind))
+
+
+def _exit_code(argv) -> int:
+    """Run ``clpa`` in process; argparse's SystemExit gives its code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _regression(argv, data):
+    """An input that once ended in a traceback."""
+    return example(case=(argv, json.dumps(data), "{}"))
+
+
+_EDGE = {"id": "e", "src": "v", "rng": "w"}
+_GRAPH = {"vertices": ["v", "w"], "edges": [_EDGE], "S": ["v"]}
+
+
+@_regression(["classify", "@a"], {**_GRAPH, "vertices": 5})
+@_regression(["analyze", "@a"], {**_GRAPH, "edges": 5})
+@_regression(["relgraph", "@a"], {**_GRAPH, "S": 5})
+@_regression(["monoid", "@a"], {**_GRAPH, "S": [["a"]]})
+@_regression(["complete", "@a", "--system"], {**_GRAPH, "edges": [{**_EDGE, "src": {}}]})
+@_regression(["iso", "@a", "@a"], {"laurent_blocks": [{"size": 1, "period": 0, "shifts": [0]}]})
+@settings(max_examples=300, deadline=None)
+@given(case=_invocation())
+def test_cli_fuzz_exits_0_2_or_3(case):
+    argv, text_a, text_b = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {f"@{name}": os.path.join(tmp, name) for name in ("a", "b", "missing", "dot")}
+        for key, text in (("@a", text_a), ("@b", text_b)):
+            with open(files[key], "w") as fh:
+                fh.write(text)
+        assert _exit_code([files.get(a, a) for a in argv]) in (0, 2, 3)

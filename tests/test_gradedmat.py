@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from clpa.errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
 from clpa.gradedmat import (
+    BlockMatch,
+    DirectSum,
     GradedMatrixAlgebra,
     MatricialSignature,
-    MatTuple,
+    _match_block,
+    _verify_block_match,
     brute_force_iso_oracle,
     canonical_laurent_shifts,
     component_dim,
@@ -103,19 +106,30 @@ class TestMatrixOps:
         for d, part in comps.items():
             assert (part.star() - starred[-d]).is_zero()
 
-    def test_mat_tuple_componentwise(self):
-        algs = (M("field", 1, (0,)), M("laurent", 1, (0,), period=1))
-        x = MatTuple((algs[0].identity(), algs[1].unit(0, 0, 1)))
+    def test_direct_sum_blockwise(self):
+        s = DirectSum((M("field", 1, (0,)), M("laurent", 1, (0,), period=1)))
+        x = s.unit(0, 0, 0) + s.unit(1, 0, 0, 1)
         y = x * x
-        assert (y.blocks[0] - algs[0].identity()).is_zero()
-        assert (y.blocks[1] - algs[1].unit(0, 0, 2)).is_zero()
+        assert (y - s.unit(0, 0, 0) - s.unit(1, 0, 0, 2)).is_zero()
+        assert str(y) == "[1] (+) [t^2]"
 
-    def test_mat_tuple_zero_blocks(self):
-        algs = (M("field", 2, (0, 1)), M("laurent", 1, (0,), period=2))
-        x = MatTuple((algs[0].unit(0, 1), algs[1].zero()))
-        y = MatTuple((algs[0].zero(), algs[1].unit(0, 0, -1)))
+    def test_direct_sum_zero_blocks(self):
+        s = DirectSum((M("field", 2, (0, 1)), M("laurent", 1, (0,), period=2)))
+        x = s.unit(0, 0, 1)
+        y = s.unit(1, 0, 0, -1)
         assert (x * y).is_zero() and (y * x).is_zero()
-        assert (x * x.star()).blocks[0] == algs[0].unit(0, 0)
+        assert x * x.star() == s.unit(0, 0, 0)
+        assert s.size == 3
+        for bad in ((2, 0, 0), (-1, 0, 0), (1, 1, 0), (0, 0, 0, 1)):
+            with pytest.raises((IndexError, ValueError)):
+                s.unit(*bad)
+
+    def test_direct_sum_mismatch_rejected(self):
+        s = DirectSum((M("field", 1, (0,)),))
+        with pytest.raises(AlgebraMismatch):
+            s.unit(0, 0, 0) * M("field", 1, (0,)).unit(0, 0)
+        with pytest.raises(FieldMismatch):
+            DirectSum((M("field", 1, (0,), base=GF2),))
 
 
 class TestSignature:
@@ -140,6 +154,23 @@ class TestSignature:
     def test_bad_signature_rejected(self):
         with pytest.raises(GraphFormatError):
             MatricialSignature(((2, (0,)),), ())
+
+    @pytest.mark.parametrize("key, block", [
+        ("laurent_blocks", {"size": 1, "period": 0, "shifts": [0]}),
+        ("laurent_blocks", {"size": 1, "period": -2, "shifts": [0]}),
+        ("laurent_blocks", {"size": 1, "period": "2", "shifts": [0]}),
+        ("laurent_blocks", {"size": 1, "period": 1.0, "shifts": [0]}),
+        ("laurent_blocks", {"size": 1.5, "period": 1, "shifts": [0]}),
+        ("field_blocks", {"size": 1.5, "shifts": [0]}),
+        ("field_blocks", {"size": "2", "shifts": [0, 1]}),
+        ("field_blocks", {"size": True, "shifts": [0]}),
+        ("field_blocks", {"size": 2, "shifts": "01"}),
+        ("field_blocks", {"size": 1, "shifts": [0.5]}),
+        ("field_blocks", {"size": 0, "shifts": []}),
+    ])
+    def test_malformed_json_blocks_rejected(self, key, block):
+        with pytest.raises(GraphFormatError):
+            signature_from_json({key: [block]})
 
 
 class TestDecideGradedIso:
@@ -229,6 +260,93 @@ class TestOracle:
                     assert (decision.verdict == "yes") == brute_force_iso_oracle(a, b)
 
 
+# -- block matches: the injectivity proof against the unit products -------------
+
+
+def _unit_products_oracle(a, b, match):
+    """The unit-level map checked by all n^4 products of unit images, plus
+    the star and degree identities."""
+    n = a.size
+    perm, c = match.permutation, match.tpowers
+
+    def image(i, j, k=0):
+        return b.unit(perm[i], perm[j], k + c[i] - c[j])
+
+    exps = (0,) if a.kind == "field" else (-1, 0, 1)
+    for i in range(n):
+        for j in range(n):
+            for k in exps:
+                if a.unit_degree(i, j, k) != b.unit_degree(perm[i], perm[j], k + c[i] - c[j]):
+                    return False
+            if not (image(i, j).star() - image(j, i)).is_zero():
+                return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    got = image(i, j) * image(k, l)
+                    want = image(i, l) if j == k else b.zero()
+                    if not (got - want).is_zero():
+                        return False
+    return True
+
+
+def _block_pairs():
+    """Field pairs over GF(2) of size <= 3 with shifts in {0, 1, 2}, and
+    Laurent pairs of size <= 3, period <= 3, shifts in {0, 1, 2}."""
+    for n in (1, 2, 3):
+        for sa in itertools.product((0, 1, 2), repeat=n):
+            for sb in itertools.product((0, 1, 2), repeat=n):
+                yield M("field", n, sa, base=GF2), M("field", n, sb, base=GF2)
+                for period in (1, 2, 3):
+                    yield (M("laurent", n, sa, period=period),
+                           M("laurent", n, sb, period=period))
+
+
+class TestBlockMatchProof:
+    def test_proof_agrees_with_unit_products_on_every_match(self):
+        matched = 0
+        for a, b in _block_pairs():
+            m = _match_block(a, b)
+            if m is not None:
+                assert _verify_block_match(a, b, m) == _unit_products_oracle(a, b, m) is True
+                matched += 1
+        assert matched > 100
+
+    def test_non_injective_permutation_rejected(self):
+        a = b = M("field", 2, (0, 0))
+        bad = BlockMatch((0, 0), 0, (0, 0))
+        assert not _unit_products_oracle(a, b, bad)
+        assert not _verify_block_match(a, b, bad)
+        lb = M("laurent", 3, (0, 0, 1), period=2)
+        bad = BlockMatch((1, 1, 2), 0, (0, 0, 0))
+        assert not _unit_products_oracle(lb, lb, bad)
+        assert not _verify_block_match(lb, lb, bad)
+
+    def test_wrong_tpower_rejected(self):
+        a = M("laurent", 2, (0, 1), period=2)
+        b = M("laurent", 2, (1, 2), period=2)
+        good = _match_block(a, b)
+        assert _verify_block_match(a, b, good)
+        for i in range(2):
+            for delta in (-1, 1):
+                tp = list(good.tpowers)
+                tp[i] += delta
+                bad = BlockMatch(good.permutation, good.translation, tuple(tp))
+                assert not _unit_products_oracle(a, b, bad)
+                assert not _verify_block_match(a, b, bad)
+
+    def test_wrong_permutation_rejected(self):
+        a = M("field", 3, (0, 1, 2))
+        b = M("field", 3, (4, 5, 6))
+        good = _match_block(a, b)
+        for perm in itertools.permutations(range(3)):
+            m = BlockMatch(perm, good.translation, good.tpowers)
+            want = perm == good.permutation
+            assert _unit_products_oracle(a, b, m) == want
+            assert _verify_block_match(a, b, m) == want
+
+
 # -- sparse elements against a dense reference ----------------------------------
 
 
@@ -268,7 +386,8 @@ def _dense(alg, combo):
 def _as_dense(x):
     """The dense form of a sparse element, after checking its invariants."""
     assert all(x.terms.values()), "a zero coefficient is stored"
-    return _dense(x.algebra, [(i, j, k, a) for (i, j, k), a in x.terms.items()])
+    assert all(b == 0 for b, _, _, _ in x.terms), "a unit outside the one block"
+    return _dense(x.algebra, [(i, j, k, a) for (_, i, j, k), a in x.terms.items()])
 
 
 def _dense_mul(a, b):

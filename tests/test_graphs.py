@@ -1,6 +1,7 @@
 """Graph predicates, path enumeration, complete subobjects, relative graphs."""
 
 import random
+import time
 
 import pytest
 
@@ -53,6 +54,19 @@ class TestValidation:
     def test_json_round_trip(self):
         obj = fan(2, s_on=True)
         assert object_from_json(object_to_json(obj)) == obj
+
+    @pytest.mark.parametrize("change", [
+        {"vertices": 5}, {"vertices": "vw"}, {"edges": 5}, {"edges": {"id": "e"}},
+        {"S": 5}, {"S": "v"}, {"S": [["a"]]}, {"S": [5]},
+        {"edges": [{"id": "e", "src": {}, "rng": "w"}]},
+        {"edges": [{"id": "e", "src": "v", "rng": ["w"]}]},
+    ])
+    def test_malformed_json_fields_rejected(self, change):
+        data = {"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "rng": "w"}],
+                "S": ["v"]}
+        assert object_from_json(data).s_set == {"v"}
+        with pytest.raises(GraphFormatError):
+            object_from_json({**data, **change})
 
 
 class TestPredicates:
@@ -130,6 +144,12 @@ class TestPathsInto:
             paths_into(g, "w")
 
 
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
 class TestDeepGraphs:
     # walks use an explicit stack: depth is not bounded by the recursion limit
     N = 2000
@@ -139,6 +159,8 @@ class TestDeepGraphs:
         g = Graph(vs, [(f"a{i}", vs[i], vs[(i + 1) % self.N]) for i in range(self.N)])
         (c,) = find_cycles(g)
         assert c.length == self.N and c.base(g) == min(vs)
+        # linear: each anchor is trimmed after its walk (quadratic took ~1 s)
+        assert min(_seconds(find_cycles, g) for _ in range(3)) < 0.05
 
     def test_paths_into_long_path(self):
         vs = [f"v{i}" for i in range(self.N)]
