@@ -12,7 +12,6 @@ from .algebra import (
     Monomial,
     check_generator_map,
     evaluate_element,
-    involution,
     is_idempotent,
     are_orthogonal,
     normal_monomials,
@@ -72,8 +71,6 @@ from .scalars import (
     QQ,
     LaurentPoly,
     PrimeField,
-    laurent_involution,
-    laurent_mul,
     parse_laurent,
     parse_scalar,
     scalar_arith,

@@ -38,10 +38,6 @@ class Monomial:
     def degree(self) -> int:
         return len(self.left) - len(self.right)
 
-    @property
-    def bilength(self) -> int:
-        return len(self.left) + len(self.right)
-
     def star(self) -> "Monomial":
         return Monomial(self.right, self.left)
 
@@ -258,10 +254,6 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
-def involution(a: AlgebraElement) -> AlgebraElement:
-    return a.star()
-
-
 def is_idempotent(x: AlgebraElement) -> bool:
     return x * x == x
 
@@ -296,17 +288,9 @@ def all_paths(graph: Graph, max_length: Optional[int] = None) -> list:
     return out
 
 
-def normal_monomials(
-    ctx: AlgebraContext,
-    max_each: Optional[int] = None,
-    max_bilength: Optional[int] = None,
-) -> list:
-    """All normal-form monomials within the given length bounds."""
-    if max_each is None and max_bilength is None:
-        bound = None
-    else:
-        bound = max_each if max_each is not None else max_bilength
-    paths = all_paths(ctx.graph, bound)
+def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> list:
+    """All normal-form monomials p|q with paths of length at most ``max_each``."""
+    paths = all_paths(ctx.graph, max_each)
     by_range: dict = {}
     for p in paths:
         by_range.setdefault(ctx.graph.path_range(p), []).append(p)
@@ -315,8 +299,6 @@ def normal_monomials(
         for p in group:
             for q in group:
                 m = Monomial(p, q)
-                if max_bilength is not None and m.bilength > max_bilength:
-                    continue
                 if ctx.is_normal(m):
                     out.append(m)
     out.sort(key=Monomial.sort_key)
@@ -370,9 +352,7 @@ def evaluate_element(x: AlgebraElement, images: Mapping):
     return total
 
 
-def check_generator_map(
-    obj: CLObject, images: Mapping, check_degrees: bool = True
-) -> GeneratorMapReport:
+def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
     """Evaluate every axiom instance of the object at the given images.
 
     ``images`` maps every vertex id and edge id to a target element; ghost
@@ -424,13 +404,12 @@ def check_generator_map(
         expect_equal(f"(SCK2) {v}=sum ee*", acc, images[v])
 
     degree_failures = []
-    if check_degrees:
-        for v in verts:
-            if not set(images[v].degree_components()) <= {0}:
-                degree_failures.append(f"vertex {v}: image not homogeneous of degree 0")
-        for e in sorted(g.edge_ids()):
-            if not set(images[e].degree_components()) <= {1}:
-                degree_failures.append(f"edge {e}: image not homogeneous of degree 1")
+    for v in verts:
+        if not set(images[v].degree_components()) <= {0}:
+            degree_failures.append(f"vertex {v}: image not homogeneous of degree 0")
+    for e in sorted(g.edge_ids()):
+        if not set(images[e].degree_components()) <= {1}:
+            degree_failures.append(f"edge {e}: image not homogeneous of degree 1")
 
     return GeneratorMapReport(tuple(failures), tuple(degree_failures))
 

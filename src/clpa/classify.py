@@ -238,60 +238,65 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
                         )
 
 
-def monomial_independence(
-    gmap: GeneratorMap,
-    max_each: Optional[int] = None,
-    max_bilength: Optional[int] = None,
-    ctx: Optional[AlgebraContext] = None,
-):
+def monomial_independence(gmap: GeneratorMap, max_each: Optional[int] = None):
     """Certify that distinct normal-form monomials have independent images.
 
-    Enumerates the normal monomials of ``ctx`` (default: the map's own
-    context) within the length bounds, pushes them through the map, and
-    returns ``(ok, count, rank)`` of the resulting coordinate vectors.
+    Enumerates the normal monomials of the map's context with paths of
+    length at most ``max_each``, pushes them through the map, and returns
+    ``(ok, count, rank)`` of the resulting coordinate vectors.
     """
-    ctx = ctx or gmap.ctx
-    monos = normal_monomials(ctx, max_each=max_each, max_bilength=max_bilength)
-    vectors = []
-    for m in monos:
-        vectors.append(evaluate_monomial(m, gmap.images).terms)
+    monos = normal_monomials(gmap.ctx, max_each=max_each)
+    vectors = [evaluate_monomial(m, gmap.images).terms for m in monos]
     rank = rank_of_sparse(vectors, gmap.ctx.field)
     return rank == len(monos), len(monos), rank
 
 
+def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
+    """Decide whether CL(F, T) -> CL(E, S) is injective for a subobject (F, T).
+
+    The ambient map phi is an isomorphism, so the inclusion is injective
+    exactly when psi, the restriction of phi to the generators of F, is.
+    When psi satisfies the axioms of (F, T) and the degree conditions it is
+    a graded *-homomorphism, and through CL(F, T) = L(F(T)) the graded
+    uniqueness theorem (Tomforde, J. Algebra 318, 2007) says it is
+    injective iff psi(v) != 0 for every v in F^0 and
+    psi(v) - sum over s_F(e) = v of psi(e) psi(e)* != 0 for every regular
+    vertex v of F outside T (the sum itself is then nonzero by (CK1)).
+    Returns ``(ok, conditions, nonzero)``: the verdict, which is also False
+    when the axioms or degrees fail, the number of nonzero conditions, and
+    how many of them hold.
+    """
+    g = sub.graph
+    psi = {x: gmap.images[x] for x in sorted(g.vertices) + sorted(g.edge_ids())}
+    axioms = check_generator_map(sub, psi).ok
+    conditions = [psi[v] for v in sorted(g.vertices)]
+    for v in g.regular_vertices():
+        if v not in sub.s_set:
+            gap = psi[v]
+            for e in g.out_edges(v):
+                gap = gap - psi[e] * psi[e].star()
+            conditions.append(gap)
+    nonzero = sum(not x.is_zero() for x in conditions)
+    return axioms and nonzero == len(conditions), len(conditions), nonzero
+
+
 @dataclass(frozen=True)
 class ClassifiedSystem:
-    """A subobject system annotated with signatures and injectivity evidence."""
+    """A subobject system annotated with signatures and injectivity verdicts."""
 
     system: SubobjectSystem
     signatures: tuple
-    injectivity: tuple        # (ok, monomial count, rank) per node
+    injectivity: tuple        # inclusion_injective's (ok, conditions, nonzero) per node
 
     @property
     def top_signature(self) -> MatricialSignature:
         return self.signatures[self.system.top_index]
 
 
-def classify_system(obj: CLObject, field: Field = QQ,
-                    injectivity_bilength: int = 3) -> ClassifiedSystem:
-    """Classify every complete subobject and certify the inclusions injective.
-
-    The inclusion of a complete subobject sends normal monomials to normal
-    monomials; pushing them through the ambient generator map and checking
-    linear independence certifies injectivity on the bounded range.
-    """
-    ok, violations = check_no_exit_object(obj)
-    if not ok:
-        raise NotNoExitObject("; ".join(violations))
-    system = subobject_system(obj)
+def classify_system(obj: CLObject, field: Field = QQ) -> ClassifiedSystem:
+    """Classify every complete subobject and prove the inclusions injective."""
     ambient_map = build_generator_map(obj, field=field)
-    signatures = []
-    evidence = []
-    for node in system.nodes:
-        signatures.append(classify(node))
-        sub_ctx = AlgebraContext(node, field)
-        evidence.append(
-            monomial_independence(ambient_map, max_bilength=injectivity_bilength,
-                                  ctx=sub_ctx)
-        )
-    return ClassifiedSystem(system, tuple(signatures), tuple(evidence))
+    system = subobject_system(obj)
+    signatures = tuple(classify(node) for node in system.nodes)
+    injectivity = tuple(inclusion_injective(node, ambient_map) for node in system.nodes)
+    return ClassifiedSystem(system, signatures, injectivity)

@@ -35,17 +35,13 @@ def _emit_json(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _load_graph(path: str):
-    return load_object(path)
-
-
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     sub.add_argument("--field", default="q", help="coefficient field: q or gf:p")
 
 
 def cmd_classify(args) -> int:
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     sig = classify_object(obj)
     gmap = build_generator_map(obj, sig, field=args.field)
     if args.json:
@@ -76,7 +72,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     rep = reports_mod.report(obj, args.field)
     if args.json:
         _emit_json(rep.to_json())
@@ -98,7 +94,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_relgraph(args) -> int:
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     rep = reports_mod.relgraph_verify(obj, args.field)
     rel = relative_graph(obj)
     if args.json:
@@ -131,7 +127,7 @@ def cmd_relgraph(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    ambient = _load_graph(args.graph)
+    ambient = load_object(args.graph)
     if args.system or args.dot:
         system = subobject_system(ambient)
         if args.dot:
@@ -165,7 +161,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     pres = monoid_mod.presentation(obj)
     verdict = monoid_mod.atomic_cancellative_verdict(obj)
     if args.json:
@@ -201,7 +197,7 @@ def cmd_monoid(args) -> int:
 def cmd_witness(args) -> int:
     if args.n < 1:
         raise ClpaError(f"chain length --n must be at least 1, got {args.n}")
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     facts = predicates(obj.graph)
     if args.kind != "artinian":
         if not facts.exit_cycles:
@@ -272,7 +268,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    obj = _load_graph(args.graph)
+    obj = load_object(args.graph)
     ctx = AlgebraContext(obj, args.field)
     result = parse_expression(args.expression, ctx)
     if args.json:

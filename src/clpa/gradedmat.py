@@ -242,10 +242,11 @@ def canonical_laurent_shifts(shifts, period: int) -> tuple:
 
     Uniform translation modulo the period is induced by re-basing the cycle,
     so the canonical form must absorb it; reducing the minimum to 0 alone
-    does not.
+    does not.  The smallest translation starts at 0, so only translations
+    that move some shift to 0 are tried.
     """
     reduced = [int(x) % period for x in shifts]
-    return min(tuple(sorted((x + d) % period for x in reduced)) for d in range(period))
+    return min(tuple(sorted((x - y) % period for x in reduced)) for y in set(reduced))
 
 
 def _check_block(size, shifts, period=None) -> None:
@@ -360,10 +361,11 @@ def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> Optional[Blo
         for i, j in zip(order_a, order_b):
             perm[i] = j
         return BlockMatch(tuple(perm), d, (0,) * a.size)
+    # a matching translation moves some shift of a onto the smallest residue of b
     n = a.period
-    for d in range(n):
+    res_b = sorted((b.shifts[i] % n, i) for i in range(b.size))
+    for d in sorted({(res_b[0][0] - x) % n for x in a.shifts}):
         res_a = sorted(((a.shifts[i] + d) % n, i) for i in range(a.size))
-        res_b = sorted((b.shifts[i] % n, i) for i in range(b.size))
         if [r for r, _ in res_a] == [r for r, _ in res_b]:
             perm = [0] * a.size
             tpowers = [0] * a.size
@@ -447,8 +449,18 @@ def decide_graded_iso(a, b) -> IsoDecision:
     spreads = [alg.spread() for alg in algs_a + algs_b]
     periods = [alg.period for alg in algs_a + algs_b if alg.kind == "laurent"]
     window = _scan_window(spreads, periods)
-    # scan outward from 0 so the certificate is the most central distinguisher
-    for delta in sorted(range(-window, window + 1), key=lambda d: (abs(d), d < 0)):
+    # scan outward from 0 so the certificate is the most central distinguisher;
+    # a degree where every block's component is zero cannot distinguish
+    degrees = set()
+    for alg in algs_a + algs_b:
+        diffs = {x - y for x in alg.shifts for y in alg.shifts}
+        if alg.kind == "field":
+            degrees |= diffs      # the window covers every spread
+        else:
+            n = alg.period
+            for r in {d % n for d in diffs}:
+                degrees.update(range(-window + (r + window) % n, window + 1, n))
+    for delta in sorted(degrees, key=lambda d: (abs(d), d < 0)):
         da = sum(component_dim(alg, delta) for alg in algs_a)
         db = sum(component_dim(alg, delta) for alg in algs_b)
         if da != db:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import GraphFormatError, NonFiniteEnumeration, NotASubgraph
 
@@ -161,17 +161,8 @@ class Cycle:
     def vertex_set(self, graph: Graph) -> frozenset:
         return frozenset(graph.src(e) for e in self.edges)
 
-    def as_path(self, graph: Graph) -> Path:
-        return graph.make_path(self.edges)
-
     def __str__(self):
         return ".".join(self.edges)
-
-
-def _canonical_rotation(graph: Graph, edges: tuple) -> Cycle:
-    sources = [graph.src(e) for e in edges]
-    k = sources.index(min(sources))
-    return Cycle(edges[k:] + edges[:k])
 
 
 def find_cycles(graph: Graph) -> tuple:
@@ -277,22 +268,17 @@ class CLObject:
         object.__setattr__(self, "s_set", ss)
 
 
-def paths_into(
-    graph: Graph, target: str, avoid_interior: Optional[frozenset] = None
-) -> list:
-    """All paths ending at ``target``, avoiding ``avoid_interior`` before the end.
+def paths_into(graph: Graph, target: str) -> list:
+    """All paths ending at ``target`` that do not pass through it before the end.
 
-    A vertex in ``avoid_interior`` may not be the source of any edge of the
-    path; with ``avoid_interior = {target}`` (the default) this is exactly
-    "the target occurs only as the final vertex".  The trivial path at the
-    target is always included and the result is sorted by (length, edge ids).
+    The trivial path at the target is always included and the result is
+    sorted by (length, edge ids).
 
-    Raises :class:`NonFiniteEnumeration` if a cycle can reach the target
-    without being cut by the avoid rule (the family would be infinite).
+    Raises :class:`NonFiniteEnumeration` if a cycle avoiding the target can
+    reach it (the family would be infinite).
     """
     if target not in graph.vertices:
         raise GraphFormatError(f"unknown vertex {target!r}")
-    avoid = frozenset({target}) if avoid_interior is None else frozenset(avoid_interior)
     out = [Path(target)]
     # depth-first walk backwards: a stack of (in-edge iterator, path so far)
     seen = {target}
@@ -306,12 +292,12 @@ def paths_into(
                 seen.discard(graph.src(edges[0]))
             continue
         u = graph.src(eid)
-        if u in avoid:
+        if u == target:
             continue
         if u in seen:
             raise NonFiniteEnumeration(
                 f"infinitely many paths into {target!r}: cycle through {u!r} "
-                "is not cut by the avoid rule"
+                "avoids the target"
             )
         p = Path(u, (eid,) + edges)
         out.append(p)

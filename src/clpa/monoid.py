@@ -55,9 +55,6 @@ class MonoidElement:
             out[g] = out.get(g, 0) + m
         return MonoidElement(tuple(out.items()))
 
-    def multiplicity(self, g: str) -> int:
-        return dict(self.counts).get(g, 0)
-
     def contains(self, other: "MonoidElement") -> bool:
         mine = dict(self.counts)
         return all(mine.get(g, 0) >= m for g, m in other.counts)
@@ -322,7 +319,7 @@ class MonoidVerdict:
     justification: str
 
 
-def atomic_cancellative_verdict(obj: CLObject, n_max: int = 3) -> MonoidVerdict:
+def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
     """Decide atomic + cancellative through the relative graph.
 
     The bare graph being no-exit is not enough: a cycle vertex outside S
@@ -343,7 +340,7 @@ def atomic_cancellative_verdict(obj: CLObject, n_max: int = 3) -> MonoidVerdict:
         )
     leavitt = pres.rel.leavitt_object()
     bad_cycle = predicates(leavitt.graph).exit_cycles[0]
-    witness = cancellation_witness(leavitt, bad_cycle, n_max)
+    witness = cancellation_witness(leavitt, bad_cycle)
     return MonoidVerdict(
         False, None, None, witness,
         "relative graph has a cycle with an exit: cancellation fails",

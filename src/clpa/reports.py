@@ -158,7 +158,7 @@ class PropertyReport:
         }
 
 
-def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> PropertyReport:
+def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     """Evaluate every condition family on the relative graph of the object."""
     rel = relative_graph(obj)
     facts = predicates(rel.graph)
@@ -207,8 +207,7 @@ def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> Property
     witnesses: dict = {}
     if not no_exit:
         witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), facts.exit_cycles[0], witness_depth, field
-        )
+            rel.leavitt_object(), facts.exit_cycles[0], field=field)
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "
             "corner left ideals (see the noetherian_chain witness)"
@@ -216,9 +215,7 @@ def report(obj: CLObject, field: Field = QQ, witness_depth: int = 2) -> Property
     if no_exit and not acyclic:
         # a no-exit relative graph has the object's cycles, all inside S
         cycle = facts.cycles[0]
-        witnesses["artinian_failure"] = artinian_failure_witness(
-            obj, cycle, witness_depth, field
-        )
+        witnesses["artinian_failure"] = artinian_failure_witness(obj, cycle, field=field)
         notes.append(
             "cycles are present: the algebra is graded locally artinian but not "
             "locally artinian, so the graded and non-graded artinian families "

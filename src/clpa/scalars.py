@@ -352,14 +352,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f * g
-
-
-def laurent_involution(f: LaurentPoly) -> LaurentPoly:
-    return f.star()
-
-
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
         (?:

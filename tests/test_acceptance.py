@@ -297,5 +297,5 @@ def test_criterion_9_direct_limit_system():
         9,
         True,
         f"signature chain M_2(0,1)^i + K for i=1,2,3 inside a {len(result.system.nodes)}-"
-        "node system; inclusion injectivity certified at bilength <= 3",
+        "node system; inclusions proved injective by graded uniqueness",
     )

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from clpa.algebra import check_generator_map
+from clpa._linalg import rank_of_sparse
+from clpa.algebra import (
+    AlgebraContext,
+    check_generator_map,
+    evaluate_monomial,
+    normal_monomials,
+)
 from clpa.classify import (
     GeneratorMap,
     _verify_generator_map,
@@ -13,12 +19,13 @@ from clpa.classify import (
     check_no_exit_object,
     classify,
     classify_system,
+    inclusion_injective,
     monomial_independence,
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
 from clpa.gradedmat import DirectSum, GradedMatrix, MatricialSignature
 from clpa.graphs import CLObject, Graph, predicates
-from clpa.scalars import PrimeField
+from clpa.scalars import QQ, PrimeField
 
 from conftest import (
     NO_EXIT_CORPUS,
@@ -276,10 +283,10 @@ class TestClassifySystem:
             assert sig_of[node] == expected
         assert result.top_signature == classify(fan(3))
 
-    def test_injectivity_evidence_everywhere(self):
+    def test_injectivity_proved_everywhere(self):
         result = classify_system(fan(3))
-        for ok, count, rank in result.injectivity:
-            assert ok and count == rank
+        for ok, conditions, nonzero in result.injectivity:
+            assert ok and conditions == nonzero
 
     def test_single_sink_system(self):
         result = classify_system(single_sink())
@@ -293,5 +300,51 @@ class TestClassifySystem:
             assert ok
 
     def test_rejects_bad_objects(self):
-        with pytest.raises(NotNoExitObject):
+        with pytest.raises(NotNoExitObject, match="cycle vertex v is a bifurcation"):
             classify_system(rose())
+        with pytest.raises(NotNoExitObject, match="cycle vertex v is not in S"):
+            classify_system(loop(False))
+
+
+SMALL_NO_EXIT = sorted(name for name, make in NO_EXIT_CORPUS.items()
+                       if len(make().graph.vertices) <= 4)
+
+
+@pytest.mark.parametrize("name", SMALL_NO_EXIT)
+def test_injectivity_agrees_with_rank_oracle(name):
+    # bounded oracle: the ambient images of each node's normal monomials with
+    # paths of length <= 2 are linearly independent
+    obj = NO_EXIT_CORPUS[name]()
+    result = classify_system(obj)
+    images = build_generator_map(obj).images
+    assert len(result.injectivity) == len(result.system.nodes)
+    for node, (ok, conditions, nonzero) in zip(result.system.nodes, result.injectivity):
+        assert ok and nonzero == conditions == len(node.graph.vertices) + len(
+            [v for v in node.graph.regular_vertices() if v not in node.s_set])
+        assert _independent_images(node, images), node
+
+
+def _independent_images(node, images) -> bool:
+    monos = normal_monomials(AlgebraContext(node), max_each=2)
+    vectors = [evaluate_monomial(m, images).terms for m in monos]
+    return rank_of_sparse(vectors, QQ) == len(monos)
+
+
+class TestInclusionRejects:
+    # fan(2) with S = {v}: v -> u1 by e1, v -> u2 by e2
+    def test_relation_dropped_is_not_injective(self):
+        ambient = fan(2, s_on=True)
+        gmap = build_generator_map(ambient)
+        sub = CLObject(ambient.graph, [])
+        # (F, {}) satisfies the axioms, but v - e1 e1* - e2 e2* maps to 0
+        ok, conditions, nonzero = inclusion_injective(sub, gmap)
+        assert (ok, conditions, nonzero) == (False, 4, 3)
+        assert not _independent_images(sub, gmap.images)
+
+    def test_relation_on_one_edge_fails_axioms(self):
+        ambient = fan(2, s_on=True)
+        gmap = build_generator_map(ambient)
+        sub = CLObject(Graph(["v", "u1"], [("e1", "v", "u1")]), ["v"])
+        # v = e1 e1* fails; every image is still nonzero
+        ok, conditions, nonzero = inclusion_injective(sub, gmap)
+        assert (ok, conditions, nonzero) == (False, 2, 2)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +197,23 @@ class TestCli:
         b.write_text(json.dumps({"field_blocks": [{"size": 2, "shifts": [7, 8]}]}))
         proc = run_cli(["iso", str(a), str(b)])
         assert proc.returncode == 0 and "yes" in proc.stdout
+
+    @pytest.mark.parametrize("shifts, verdict", [([2_999_999, 999_999], "yes"), ([0, 2], "no")])
+    def test_iso_large_period(self, tmp_path, shifts, verdict):
+        # nothing may run over the range of the period
+        paths = []
+        for name, sh in (("a", [0, 1_000_000]), ("b", shifts)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {"laurent_blocks": [{"size": 2, "period": 3_000_000, "shifts": sh}]}))
+            paths.append(str(path))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["iso", *paths, "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out.getvalue())["verdict"] == verdict
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
     def test_monoid(self, chain_file):
         proc = run_cli(["monoid", chain_file, "--json"])

@@ -132,11 +132,6 @@ class TestPathsInto:
                 expected = brute_force_paths_into(obj.graph, v, max_len=8)
                 assert got == expected
 
-    def test_uncut_cycle_is_infinite(self):
-        g = cycle(2).graph
-        with pytest.raises(NonFiniteEnumeration):
-            paths_into(g, "v1", avoid_interior=frozenset())
-
     def test_cycle_reaching_target_without_avoid_cut(self):
         # loop at v feeding sink w: infinitely many paths end at w
         g = Graph(["v", "w"], [("c", "v", "v"), ("e", "v", "w")])
