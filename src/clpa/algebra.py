@@ -19,20 +19,32 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from ._record import Record
 from .errors import ContextMismatch, IncompleteMap, NonFiniteEnumeration
 from .graphs import CLObject, Graph, Path, relative_graph
 from .scalars import QQ, Field, Scalar, field_of, involve
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """The product p q* of two paths with r(p) = r(q)."""
 
+    __slots__ = ("left", "right")
     left: Path
     right: Path
+
+    def __init__(self, left: Path, right: Path):
+        _set_mono_left(self, left)
+        _set_mono_right(self, right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     @property
     def degree(self) -> int:
@@ -50,8 +62,11 @@ class Monomial:
         return f"{self.left}|{self.right}"
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+# the slots' own setters write past the frozen __setattr__, faster than object.__setattr__
+_set_mono_left, _set_mono_right = Monomial.left.__set__, Monomial.right.__set__
+
+
+class AlgebraContext(Record):
     """A Cohn-Leavitt algebra: the object (E, S), the field, and the special edges."""
 
     obj: CLObject
@@ -180,12 +195,24 @@ def _mono_product(graph: Graph, a: Monomial, b: Monomial) -> Optional[Monomial]:
     return None
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """An element in canonical normal form: sorted (monomial, coefficient) terms."""
 
+    __slots__ = ("ctx", "terms")
     ctx: AlgebraContext
     terms: tuple
+
+    def __init__(self, ctx: AlgebraContext, terms: tuple):
+        _set_elem_ctx(self, ctx)
+        _set_elem_terms(self, terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraElement:
+            return NotImplemented
+        return self.terms == other.terms and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.ctx, self.terms))
 
     def _check(self, other: "AlgebraElement") -> None:
         if not isinstance(other, AlgebraElement):
@@ -254,6 +281,9 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
+_set_elem_ctx, _set_elem_terms = AlgebraElement.ctx.__set__, AlgebraElement.terms.__set__
+
+
 def is_idempotent(x: AlgebraElement) -> bool:
     return x * x == x
 
@@ -308,8 +338,7 @@ def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> lis
 # -- generator maps ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorMapReport:
+class GeneratorMapReport(Record):
     """Outcome of checking a generator assignment against the algebra axioms."""
 
     failures: tuple
@@ -376,6 +405,8 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
             failures.append(f"{label}: {got} != {want}")
 
     verts = sorted(g.vertices)
+    edges = sorted(g.edge_ids())
+    ghosts = {e: images[e].star() for e in edges}
     for v in verts:
         for w in verts:
             prod = images[v] * images[w]
@@ -383,15 +414,15 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
                 expect_equal(f"(V) {v}*{v}={v}", prod, images[v])
             else:
                 expect_zero(f"(V) {v}*{w}=0", prod)
-    for e in sorted(g.edge_ids()):
-        img, ghost = images[e], images[e].star()
+    for e in edges:
+        img, ghost = images[e], ghosts[e]
         expect_equal(f"(E1) s({e}){e}={e}", images[g.src(e)] * img, img)
         expect_equal(f"(E1) {e}r({e})={e}", img * images[g.rng(e)], img)
         expect_equal(f"(E2) r({e}){e}*={e}*", images[g.rng(e)] * ghost, ghost)
         expect_equal(f"(E2) {e}*s({e})={e}*", ghost * images[g.src(e)], ghost)
-    for e in sorted(g.edge_ids()):
-        for f in sorted(g.edge_ids()):
-            prod = images[e].star() * images[f]
+    for e in edges:
+        for f in edges:
+            prod = ghosts[e] * images[f]
             if e == f:
                 expect_equal(f"(CK1) {e}*{e}=r({e})", prod, images[g.rng(e)])
             else:
@@ -399,7 +430,7 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
     for v in sorted(obj.s_set):
         acc = None
         for e in g.out_edges(v):
-            term = images[e] * images[e].star()
+            term = images[e] * ghosts[e]
             acc = term if acc is None else acc + term
         expect_equal(f"(SCK2) {v}=sum ee*", acc, images[v])
 
@@ -407,7 +438,7 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
     for v in verts:
         if not set(images[v].degree_components()) <= {0}:
             degree_failures.append(f"vertex {v}: image not homogeneous of degree 0")
-    for e in sorted(g.edge_ids()):
+    for e in edges:
         if not set(images[e].degree_components()) <= {1}:
             degree_failures.append(f"edge {e}: image not homogeneous of degree 1")
 

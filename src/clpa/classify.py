@@ -22,10 +22,10 @@ implementation bug, never a valid state, and raises ClassificationBug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import rank_of_sparse
+from ._record import Record
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
@@ -58,8 +58,7 @@ def _no_exit_violations(obj: CLObject, facts) -> list:
     return violations
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One direct summand: its target in the graph and its enumerated paths."""
 
     kind: str                     # "sink" | "unrelated" | "cycle"
@@ -114,8 +113,7 @@ def classify(obj: CLObject) -> MatricialSignature:
     return _signature(blocks_of(obj))
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(Record):
     """A verified generator assignment into the direct sum of matrix blocks."""
 
     obj: CLObject
@@ -280,8 +278,7 @@ def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     return axioms and nonzero == len(conditions), len(conditions), nonzero
 
 
-@dataclass(frozen=True)
-class ClassifiedSystem:
+class ClassifiedSystem(Record):
     """A subobject system annotated with signatures and injectivity verdicts."""
 
     system: SubobjectSystem

@@ -15,8 +15,8 @@ p q*.  Ids that collide with the operator characters cannot be referenced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .algebra import AlgebraContext, AlgebraElement, Monomial
 from .errors import ParseError
 from .graphs import Path
@@ -24,8 +24,7 @@ from .graphs import Path
 _TOKEN = re.compile(r"\s*(?:(?P<op>[+\-*/|.])|(?P<atom>[^\s+\-*/|.~]+))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str       # "op" | "atom"
     text: str
     pos: int

@@ -17,15 +17,14 @@ vertex induces) and blocks are sorted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
 from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar, field_of, involve
 
 
-@dataclass(frozen=True)
-class GradedMatrixAlgebra:
+class GradedMatrixAlgebra(Record):
     """M_n(K) or M_n(K[t^p, t^-p]) with an integer shift vector."""
 
     kind: str                 # "field" | "laurent"
@@ -86,8 +85,7 @@ class GradedMatrixAlgebra:
         return f"M_{self.size}(K[t^{self.period},t^-{self.period}])({shifts})"
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Record):
     """A finite direct sum of graded matrix algebras over one base field."""
 
     summands: tuple
@@ -259,8 +257,7 @@ def _check_block(size, shifts, period=None) -> None:
         raise GraphFormatError(f"block of {what} vs shifts {tuple(shifts)}")
 
 
-@dataclass(frozen=True)
-class MatricialSignature:
+class MatricialSignature(Record):
     """Canonical block data: (size, shifts) and (size, period, shifts) lists."""
 
     field_blocks: tuple = ()
@@ -324,8 +321,7 @@ def signature_from_json(data) -> MatricialSignature:
 # -- graded isomorphism decision -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockMatch:
+class BlockMatch(Record):
     """A checked unit-level map witnessing a block isomorphism."""
 
     permutation: tuple        # source index i -> target index permutation[i]
@@ -333,8 +329,7 @@ class BlockMatch:
     tpowers: tuple            # diagonal t-exponent corrections (0 for field kind)
 
 
-@dataclass(frozen=True)
-class IsoDecision:
+class IsoDecision(Record):
     verdict: str              # "yes" | "no" | "unknown"
     matches: tuple = ()       # BlockMatch per matched block pair, for "yes"
     certificate: Optional[tuple] = None   # (delta, dim_a, dim_b, window) for "no"

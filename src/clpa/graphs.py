@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 from .errors import GraphFormatError, NonFiniteEnumeration, NotASubgraph
 
 _ID_RE = re.compile(r"[^\s|.~]+")
@@ -31,8 +31,7 @@ def _check_id(kind: str, name) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """A finite directed graph.  Edges are (id, source, range) triples."""
 
     vertices: frozenset
@@ -123,12 +122,24 @@ class Graph:
         return Path(self.src(ids[0]), ids)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A finite path: a source vertex plus a (possibly empty) edge sequence."""
 
+    __slots__ = ("source", "edges")
     source: str
-    edges: tuple = ()
+    edges: tuple
+
+    def __init__(self, source: str, edges: tuple = ()):
+        _set_path_source(self, source)
+        _set_path_edges(self, edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.source == other.source and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.source, self.edges))
 
     def __len__(self):
         return len(self.edges)
@@ -144,8 +155,11 @@ class Path:
         return ".".join(self.edges) if self.edges else self.source
 
 
-@dataclass(frozen=True)
-class Cycle:
+# the slots' own setters write past the frozen __setattr__, faster than object.__setattr__
+_set_path_source, _set_path_edges = Path.source.__set__, Path.edges.__set__
+
+
+class Cycle(Record):
     """A cycle in canonical rotation: starts at its smallest vertex id."""
 
     edges: tuple
@@ -221,8 +235,7 @@ def find_cycles(graph: Graph) -> tuple:
     return tuple(sorted(cycles, key=lambda c: (c.length, c.edges)))
 
 
-@dataclass(frozen=True)
-class GraphFacts:
+class GraphFacts(Record):
     """Exhaustive structural record for a graph."""
 
     is_acyclic: bool
@@ -249,8 +262,7 @@ def predicates(graph: Graph) -> GraphFacts:
     )
 
 
-@dataclass(frozen=True)
-class CLObject:
+class CLObject(Record):
     """A graph together with a subset S of its regular vertices."""
 
     graph: Graph
@@ -364,8 +376,7 @@ def complete(sub_graph: Graph, ambient: CLObject) -> CLObject:
     return result
 
 
-@dataclass(frozen=True)
-class RelativeGraph:
+class RelativeGraph(Record):
     """The relative graph of (E, S) plus the bookkeeping of its new ids.
 
     For every regular vertex v outside S a fresh sink v' is added, and every
@@ -408,8 +419,7 @@ def relative_graph(obj: CLObject) -> RelativeGraph:
     return RelativeGraph(graph, primed_vertex, primed_edge)
 
 
-@dataclass(frozen=True)
-class SubobjectSystem:
+class SubobjectSystem(Record):
     """All complete subobjects of a finite object, ordered by inclusion."""
 
     ambient: CLObject

@@ -16,11 +16,11 @@ at the algebra level, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from ._linalg import nullspace_basis
+from ._record import Record
 from .algebra import AlgebraContext, is_idempotent
 from .classify import blocks_of
 from .errors import ClassificationBug, NotAnExit, NotNoExitObject
@@ -30,8 +30,7 @@ from fractions import Fraction
 from .scalars import QQ, Field
 
 
-@dataclass(frozen=True)
-class MonoidElement:
+class MonoidElement(Record):
     """A finite multiset over the generator set, as sorted (gen, mult) pairs."""
 
     counts: tuple
@@ -71,8 +70,7 @@ class MonoidElement:
         return " + ".join(g if m == 1 else f"{m}{g}" for g, m in self.counts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators and relations of the projective-class monoid of an object."""
 
     obj: CLObject
@@ -161,8 +159,7 @@ def relations_preserved(pres: Presentation, invariant: dict) -> list:
     return bad
 
 
-@dataclass(frozen=True)
-class EqualityAnswer:
+class EqualityAnswer(Record):
     verdict: str                      # "yes" | "no" | "unknown"
     common_reduct: Optional[MonoidElement] = None
     separating_functional: Optional[tuple] = None
@@ -244,8 +241,7 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
 # -- verdicts and witnesses ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CancellationWitness:
+class CancellationWitness(Record):
     """The idempotent chain p_n = c^n (c*)^n exhibiting a cancellation failure.
 
     The monoid identity [v] = [v] + [p_n - p_n+1] with [p_n - p_n+1] nonzero
@@ -310,8 +306,7 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
     return CancellationWitness(v, based, ps[:n_max], tuple(statements))
 
 
-@dataclass(frozen=True)
-class MonoidVerdict:
+class MonoidVerdict(Record):
     atomic_cancellative: bool
     invariant: Optional[dict]          # generator -> path-count vector, when true
     invariant_rank: Optional[int]

@@ -18,8 +18,8 @@ graded-artinian-but-not-artinian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
 from .classify import build_generator_map
 from .errors import ClassificationBug, NoCycle
@@ -96,8 +96,7 @@ _CONDITIONS = [
 _CITATION_ONLY = {"12", "13", "14"}
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(Record):
     code: str
     family: str
     statement: str
@@ -106,8 +105,7 @@ class ConditionEntry:
     citation_only: bool = False
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Per-condition verdicts plus constructive witnesses."""
 
     obj: CLObject
@@ -229,8 +227,7 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
 # -- witnesses -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoetherianChainWitness:
+class NoetherianChainWitness(Record):
     """g_n = v - c^n (c*)^n generating a strictly increasing graded chain."""
 
     base_vertex: str
@@ -271,8 +268,7 @@ def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
     return NoetherianChainWitness(v, based, tuple(gs[:n_max]), tuple(statements))
 
 
-@dataclass(frozen=True)
-class ArtinianFailureWitness:
+class ArtinianFailureWitness(Record):
     """Chains in the Laurent corner of a cycle.
 
     ``powers`` are h_n = c^n (with classification images t^n in the cycle
@@ -369,8 +365,7 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
 # -- relative graph verification -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelativeGraphReport:
+class RelativeGraphReport(Record):
     """Outcome of verifying the canonical generator images of the relative graph."""
 
     ok: bool

@@ -14,10 +14,10 @@ a coercion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .errors import DivisionByZero, FieldMismatch, PeriodMismatch, ParseError
 
 
@@ -45,15 +45,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PFElement:
+class PFElement(Record):
     """An element of GF(p), stored reduced to [0, p)."""
 
+    __slots__ = ("value", "p")
     value: int
     p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, value: int, p: int):
+        _set_pf_value(self, value % p)
+        _set_pf_p(self, p)
+
+    def __eq__(self, other):
+        if other.__class__ is not PFElement:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
 
     def _check(self, other: "PFElement") -> "PFElement":
         if isinstance(other, int):
@@ -102,6 +111,10 @@ class PFElement:
         return f"{self.value} mod {self.p}"
 
 
+# the slots' own setters write past the frozen __setattr__, faster than object.__setattr__
+_set_pf_value, _set_pf_p = PFElement.value.__set__, PFElement.p.__set__
+
+
 Scalar = Union[Fraction, PFElement]
 
 
@@ -134,8 +147,7 @@ class RationalField:
         return hash("RationalField")
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """GF(p) for a prime p <= 2**31."""
 
     p: int
@@ -239,8 +251,7 @@ def parse_scalar(text: str, field: Field) -> Scalar:
     raise ParseError(f"cannot parse scalar {text!r}")
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """A Laurent polynomial sum(a_k t^k) whose generator t carries degree ``period``.
 
     ``terms`` maps exponents to nonzero scalars; zero coefficients are never

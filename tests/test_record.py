@@ -1,0 +1,183 @@
+"""Frozen value records: start-up cost and dataclass-equivalent semantics."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import os
+import pickle
+import re
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import clpa
+from clpa import expr
+from clpa._record import FrozenRecordError, Record
+from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative_generator_images
+from clpa.classify import blocks_of, build_generator_map, classify_system
+from clpa.gradedmat import GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
+from clpa.graphs import Path, find_cycles, relative_graph
+from clpa.monoid import MonoidElement, atomic_cancellative_verdict, equal, presentation
+from clpa.reports import relgraph_verify, report
+from clpa.scalars import QQ, LaurentPoly, PFElement, PrimeField
+
+from conftest import EXIT_CORPUS, NO_EXIT_CORPUS
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(clpa.__file__)))
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    code = ("import sys, clpa.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_dataclass_in_source():
+    pkg = os.path.join(SRC, "clpa")
+    uses = re.compile(r"^\s*(@dataclass|from dataclasses |import dataclasses)", re.M)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                assert not uses.search(fh.read()), name
+
+
+# -- one instance of every record class, built from the test corpus -------------
+
+
+def _all_record_classes():
+    out, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("clpa."):
+                out.add(sub)
+            todo.append(sub)
+    return out
+
+
+def _records_in(*roots):
+    """Every record reachable from the roots through fields and containers."""
+    found, seen, stack = {}, set(), list(roots)
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, Record):
+            found.setdefault(type(v), v)
+            stack.extend(getattr(v, f) for f in v._fields)
+        elif isinstance(v, GradedMatrix):
+            stack.append(v.terms)
+        elif isinstance(v, dict):
+            stack.extend(v.keys())
+            stack.extend(v.values())
+        elif isinstance(v, (tuple, list, frozenset)):
+            stack.extend(v)
+    return found
+
+
+def _corpus_records():
+    loop, rose = NO_EXIT_CORPUS["loop"](), EXIT_CORPUS["rose2"]()
+    tail = NO_EXIT_CORPUS["cycle_with_tail"]()
+    gf = PrimeField(3)
+    gmap = build_generator_map(tail, field=gf)
+    sig = clpa.classify(tail)
+    pres = presentation(rose)
+    _, _, images = relative_generator_images(tail)
+    roots = [
+        gmap, sig, classify_system(loop), blocks_of(tail), find_cycles(rose.graph),
+        relative_graph(rose), clpa.predicates(rose.graph),
+        check_generator_map(tail, images), decide_graded_iso(sig, sig),
+        report(loop), report(rose), relgraph_verify(tail), pres,
+        equal(pres, pres.element(*pres.generators[:1]), pres.element(*pres.generators[:1])),
+        atomic_cancellative_verdict(rose), atomic_cancellative_verdict(loop),
+        expr._tokenize("v + 2 * c|c"),
+        GradedMatrixAlgebra("laurent", 1, (0,), 1).unit(0, 0, 1).entry(0, 0),
+    ]
+    return _records_in(*roots)
+
+
+CORPUS_RECORDS = _corpus_records()
+
+
+def test_corpus_builds_every_record_class():
+    missing = _all_record_classes() - set(CORPUS_RECORDS)
+    assert not missing, sorted(c.__name__ for c in missing)
+
+
+@pytest.fixture(params=sorted(CORPUS_RECORDS, key=lambda c: c.__name__),
+                ids=lambda c: c.__name__)
+def record(request):
+    return CORPUS_RECORDS[request.param]
+
+
+def _values(x):
+    return tuple(getattr(x, f) for f in x._fields)
+
+
+def test_hash_and_repr_match_dataclass(record):
+    reference = dataclasses.make_dataclass(
+        type(record).__qualname__, record._fields, frozen=True)(*_values(record))
+    if "__repr__" not in vars(type(record)):     # PrimeField keeps its own
+        assert repr(record) == repr(reference)
+    try:
+        expected = hash(_values(record))
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected == hash(reference)
+
+
+def test_frozen(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(FrozenRecordError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_equality_by_class_and_fields(record):
+    values = _values(record)
+    cls = type(record)
+    assert cls(**dict(zip(record._fields, values))) == record
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    twin = type("Twin", (Record,), {"__annotations__": dict.fromkeys(record._fields)})
+    assert twin(*values) != record
+    assert record != values
+
+
+def test_defaults_and_argument_errors():
+    assert Path("v") == Path("v", ())
+    assert Path(source="v", edges=("e",)) == Path("v", ("e",))
+    assert GradedMatrixAlgebra("field", 2, (0, 1)).base == QQ
+    assert GradedMatrixAlgebra("field", 2, shifts=(0, 1), base=QQ).period is None
+    assert PrimeField(5).name == "GF(5)"
+    with pytest.raises(TypeError):
+        GradedMatrixAlgebra("field", 2)
+    with pytest.raises(TypeError):
+        GradedMatrixAlgebra("field", 2, (0, 1), size=2)
+    with pytest.raises(TypeError):
+        PrimeField(5, "GF(5)", "extra")
+    with pytest.raises(TypeError):
+        MonoidElement(count=())
+
+
+def test_post_init_normalises():
+    assert MonoidElement((("b", 1), ("a", 2), ("c", 0))).counts == (("a", 2), ("b", 1))
+    with pytest.raises(ValueError):
+        MonoidElement((("a", -1),))
+    assert PFElement(7, 5) == PFElement(2, 5) and PFElement(-1, 5).value == 4
+    poly = LaurentPoly(1, ((2, Fraction(3)), (0, Fraction(0))), QQ)
+    assert poly.terms == ((2, Fraction(3)),)
+    ctx = AlgebraContext(NO_EXIT_CORPUS["fan2_leavitt"](), QQ, special=(("x", "y"),))
+    assert ctx.special == (("v", "e1"),)
+    assert Monomial(Path("v"), Path("v")).star() == Monomial(Path("v"), Path("v"))
