@@ -2,9 +2,10 @@
 
 Only what the rest of the package needs: the rank of a family of sparse
 vectors (for linear-independence certificates) and a basis of the solution
-space of a homogeneous system (for relation-invariant weightings).  Dense
-Gaussian elimination is plenty at this scale, and floating point is not an
-option, so this stays hand-rolled.
+space of a homogeneous system (for relation-invariant weightings).  Gaussian
+elimination over dense rows, updating only the pivot row's support, is
+plenty at this scale, and floating point is not an option, so this stays
+hand-rolled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ def rank_of_sparse(vectors, field: Field) -> int:
 
 
 def _reduce(rows, field: Field) -> list:
-    """Gauss-Jordan elimination of the rows in place; the pivot columns."""
+    """Gauss-Jordan elimination of the rows in place; the pivot columns.
+
+    Each pivot step touches only the pivot row's nonzero columns.
+    """
     ncols = len(rows[0]) if rows else 0
     pivots = []
     for col in range(ncols):
@@ -35,12 +39,17 @@ def _reduce(rows, field: Field) -> list:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        # rows from rank on are zero left of col; relation rows are sparse
+        support = [c for c in range(col, ncols) if top[c]]
+        inv = field.one / top[col]
+        for c in support:
+            top[c] *= inv
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != rank and factor:
+                for c in support:
+                    row[c] -= factor * top[c]
         pivots.append(col)
         if len(pivots) == len(rows):
             break

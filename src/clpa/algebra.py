@@ -7,6 +7,15 @@ unless p and q are both nonempty and both end in the distinguished special
 edge of a vertex of S, in which case one application of the full relation
 at that vertex replaces it by a strictly smaller combination.
 
+Raw input (``monomial``, ``unit``, parsed expressions) is normalised by
+:meth:`AlgebraContext.from_raw`.  Arithmetic on elements keeps normal form
+by construction instead: a sum of normal combinations is normal; the star
+of a normal monomial is normal, because reducibility is symmetric in p and
+q; and the product of normal p q* and r s* is normal unless q = r, since
+when one of q, r is a proper prefix of the other the product ends exactly
+as r s* or as p q* does.  Only those critical q = r products, p s*, go
+through the rewriting loop.
+
 The special edge of each S-vertex is the lexicographically smallest edge it
 emits; the choice is recorded in the context so normal forms are
 reproducible.  That irreducible monomials are linearly independent is a
@@ -138,18 +147,16 @@ class AlgebraContext(Record):
     def from_raw(self, terms: Iterable[tuple]) -> "AlgebraElement":
         """Normal form of a raw combination of (coefficient, monomial) pairs."""
         out: dict = {}
-        stack = [(m, c) for c, m in terms]
+        self._rewrite_into(out, [(m, c) for c, m in terms if c])
+        return _element(self, out)
+
+    def _rewrite_into(self, out: dict, stack: list) -> None:
+        """Add the normal form of the (monomial, nonzero coefficient) pairs to ``out``."""
         while stack:
             m, c = stack.pop()
-            if not c:
-                continue
             v = self._reducible_at(m)
             if v is None:
-                acc = out.get(m, self.field.zero) + c
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
+                _add_term(out, m, c)
                 continue
             p, q = m.left, m.right
             p1 = Path(p.source, p.edges[:-1])
@@ -162,7 +169,6 @@ class AlgebraContext(Record):
                         (Monomial(Path(p1.source, p1.edges + (e,)),
                                   Path(q1.source, q1.edges + (e,))), -c)
                     )
-        return AlgebraElement(self, tuple(sorted(out.items(), key=lambda t: t[0].sort_key())))
 
     def _reducible_at(self, m: Monomial) -> Optional[str]:
         # reducible iff p and q both end in the special edge of an S-vertex
@@ -180,19 +186,26 @@ class AlgebraContext(Record):
         return self._reducible_at(m) is None
 
 
-def _mono_product(graph: Graph, a: Monomial, b: Monomial) -> Optional[Monomial]:
-    # (p q*)(r s*): nonzero iff q is a prefix of r or r is a prefix of q
-    q, r = a.right, b.left
-    if q.source != r.source:
-        return None
-    lq, lr = len(q), len(r)
-    if lq <= lr and r.edges[:lq] == q.edges:
-        tail = Path(graph.path_range(q), r.edges[lq:])
-        return Monomial(graph.compose(a.left, tail), b.right)
-    if q.edges[:lr] == r.edges:
-        tail = Path(graph.path_range(r), q.edges[lr:])
-        return Monomial(a.left, graph.compose(b.right, tail))
-    return None
+def _add_term(out: dict, m: Monomial, c: Scalar) -> None:
+    """Add c·m to the combination ``out``, dropping the term if it cancels."""
+    prev = out.get(m)
+    if prev is None:
+        out[m] = c
+    else:
+        acc = prev + c
+        if acc:
+            out[m] = acc
+        else:
+            del out[m]
+
+
+def _term_key(term: tuple):
+    return term[0].sort_key()
+
+
+def _element(ctx: AlgebraContext, out: dict) -> "AlgebraElement":
+    """The element of a dict of normal monomials with nonzero coefficients."""
+    return AlgebraElement(ctx, tuple(sorted(out.items(), key=_term_key)))
 
 
 class AlgebraElement(Record):
@@ -222,29 +235,51 @@ class AlgebraElement(Record):
 
     def __add__(self, other):
         self._check(other)
-        return self.ctx.from_raw(
-            [(c, m) for m, c in self.terms] + [(c, m) for m, c in other.terms]
-        )
+        out = dict(self.terms)
+        for m, c in other.terms:
+            _add_term(out, m, c)
+        return _element(self.ctx, out)
 
     def __sub__(self, other):
         self._check(other)
-        return self.ctx.from_raw(
-            [(c, m) for m, c in self.terms] + [(-c, m) for m, c in other.terms]
-        )
+        out = dict(self.terms)
+        for m, c in other.terms:
+            _add_term(out, m, -c)
+        return _element(self.ctx, out)
 
     def __neg__(self):
         return AlgebraElement(self.ctx, tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other):
+        # (p q*)(r s*) is p t s* if r = q t, p (s t)* if q = r t, and 0 otherwise.
+        # For nonempty t it ends as r s* or p q* does, so it is normal; only
+        # the critical q = r products p s* are rewritten.
         self._check(other)
-        graph = self.ctx.graph
-        raw = []
+        out: dict = {}
+        critical = []
         for m1, c1 in self.terms:
+            p, q = m1.left, m1.right
+            lq = len(q.edges)
             for m2, c2 in other.terms:
-                prod = _mono_product(graph, m1, m2)
-                if prod is not None:
-                    raw.append((c1 * c2, prod))
-        return self.ctx.from_raw(raw)
+                r, s = m2.left, m2.right
+                if r.source != q.source:
+                    continue
+                lr = len(r.edges)
+                if lq < lr:
+                    if r.edges[:lq] != q.edges:
+                        continue
+                    prod = Monomial(Path(p.source, p.edges + r.edges[lq:]), s)
+                elif lr < lq:
+                    if q.edges[:lr] != r.edges:
+                        continue
+                    prod = Monomial(p, Path(s.source, s.edges + q.edges[lr:]))
+                else:
+                    if q.edges == r.edges:
+                        critical.append((Monomial(p, s), c1 * c2))
+                    continue
+                _add_term(out, prod, c1 * c2)
+        self.ctx._rewrite_into(out, critical)
+        return _element(self.ctx, out)
 
     def scale(self, a: Scalar) -> "AlgebraElement":
         if field_of(a) != self.ctx.field:
@@ -254,8 +289,12 @@ class AlgebraElement(Record):
         return AlgebraElement(self.ctx, tuple((m, a * c) for m, c in self.terms))
 
     def star(self) -> "AlgebraElement":
-        """The involution: termwise swap of p and q with coefficient involution."""
-        return self.ctx.from_raw([(involve(c), m.star()) for m, c in self.terms])
+        """The involution: termwise swap of p and q with coefficient involution.
+
+        Swapping keeps each monomial normal and distinct, so only the order changes.
+        """
+        return AlgebraElement(self.ctx, tuple(sorted(
+            ((m.star(), involve(c)) for m, c in self.terms), key=_term_key)))
 
     def is_zero(self) -> bool:
         return not self.terms

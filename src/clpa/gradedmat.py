@@ -247,13 +247,16 @@ def canonical_laurent_shifts(shifts, period: int) -> tuple:
     return min(tuple(sorted((x - y) % period for x in reduced)) for y in set(reduced))
 
 
-def _check_block(size, shifts, period=None) -> None:
-    """A block needs integer data, one shift per index, size and period >= 1."""
-    data = (size, *shifts) if period is None else (size, period, *shifts)
+def _check_block(size, shifts, periods=()) -> None:
+    """A block needs integer data, one shift per index, size and period >= 1.
+
+    ``periods`` is empty for a field block and (period,) for a Laurent block.
+    """
+    data = (size, *periods, *shifts)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in data):
         raise GraphFormatError(f"block sizes, periods and shifts must be integers: {data}")
-    if size < 1 or size != len(shifts) or (period is not None and period < 1):
-        what = f"size {size}" if period is None else f"size {size} and period {period}"
+    if size < 1 or size != len(shifts) or any(n < 1 for n in periods):
+        what = f"size {size}" if not periods else f"size {size} and period {periods[0]}"
         raise GraphFormatError(f"block of {what} vs shifts {tuple(shifts)}")
 
 
@@ -267,7 +270,7 @@ class MatricialSignature(Record):
         for k, sh in self.field_blocks:
             _check_block(k, sh)
         for m, n, sh in self.laurent_blocks:
-            _check_block(m, sh, n)
+            _check_block(m, sh, (n,))
         fb = tuple(sorted((k, canonical_field_shifts(sh)) for k, sh in self.field_blocks))
         lb = tuple(sorted((m, n, canonical_laurent_shifts(sh, n))
                           for m, n, sh in self.laurent_blocks))

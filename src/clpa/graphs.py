@@ -438,9 +438,11 @@ class SubobjectSystem(Record):
         """Covering pairs (i, j) of the inclusion order (for DOT export).
 
         Each node is a bitmask over the ambient vertices, edges and S, so
-        ``leq`` is mask containment; ``above[i]`` is the bitmask of the j
-        strictly above i, and the covers of i are the j in ``above[i]`` that
-        lie in no ``above[k]`` for a k in ``above[i]``.
+        ``leq`` is mask containment.  ``holders[b]`` is the bitmask of the
+        nodes having bit b, so the nodes above i are the AND of the holders
+        of i's bits; ``above[i]`` is the bitmask of the j strictly above i,
+        and the covers of i are the j in ``above[i]`` that lie in no
+        ``above[k]`` for a k in ``above[i]``.
         """
         bit: dict = {}
         masks = []
@@ -449,10 +451,17 @@ class SubobjectSystem(Record):
                     + [("e", e) for e in node.graph.edges]
                     + [("s", v) for v in node.s_set])
             masks.append(sum(1 << bit.setdefault(k, len(bit)) for k in keys))
-        above = [
-            sum(1 << j for j, b in enumerate(masks) if j != i and not a & ~b)
-            for i, a in enumerate(masks)
-        ]
+        holders = [0] * len(bit)
+        for j, mask in enumerate(masks):
+            for b in _bits(mask):
+                holders[b] |= 1 << j
+        everyone = (1 << len(masks)) - 1
+        above = []
+        for i, mask in enumerate(masks):
+            up = everyone
+            for b in _bits(mask):
+                up &= holders[b]
+            above.append(up & ~(1 << i))
         pairs = []
         for i, up in enumerate(above):
             through = 0

@@ -179,19 +179,15 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
     if a == b:
         return EqualityAnswer("yes", common_reduct=a)
 
-    gens = pres.generators
-    index = {g: i for i, g in enumerate(gens)}
-
-    def as_vector(x: MonoidElement):
-        v = [0] * len(gens)
+    index = {g: i for i, g in enumerate(pres.generators)}
+    diff: dict = {}
+    for x, sign in ((a, 1), (b, -1)):
         for g, m in x.counts:
-            v[index[g]] = m
-        return v
-
-    diff = [x - y for x, y in zip(as_vector(a), as_vector(b))]
+            i = index[g]
+            diff[i] = diff.get(i, 0) + sign * m
+    support = [(i, d) for i, d in diff.items() if d]
     for functional in pres.functionals:
-        value = sum(f * d for f, d in zip(functional, diff))
-        if value:
+        if sum(functional[i] * d for i, d in support):
             return EqualityAnswer("no", separating_functional=tuple(functional))
 
     invariant = pres.invariant

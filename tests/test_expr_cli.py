@@ -436,6 +436,7 @@ _GRAPH = {"vertices": ["v", "w"], "edges": [_EDGE], "S": ["v"]}
 @_regression(["monoid", "@a"], {**_GRAPH, "S": [["a"]]})
 @_regression(["complete", "@a", "--system"], {**_GRAPH, "edges": [{**_EDGE, "src": {}}]})
 @_regression(["iso", "@a", "@a"], {"laurent_blocks": [{"size": 1, "period": 0, "shifts": [0]}]})
+@_regression(["iso", "@a", "@a"], {"laurent_blocks": [{"size": 1, "period": None, "shifts": [0]}]})
 @settings(max_examples=300, deadline=None)
 @given(case=_invocation())
 def test_cli_fuzz_exits_0_2_or_3(case):

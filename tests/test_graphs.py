@@ -296,17 +296,21 @@ class TestSubobjectSystem:
         assert system.leq(idx[0], idx[1]) and system.leq(idx[1], idx[2])
         assert system.top_index == idx[2]
 
-    @pytest.mark.parametrize("obj", [fan(3), fan(4), comet(1), comet(2)],
-                             ids=["fan3", "fan4", "comet1", "comet2"])
+    @pytest.mark.parametrize(
+        "obj",
+        [fan(3), fan(4), comet(1), comet(2)]
+        + [random_object(random.Random(seed)) for seed in range(12)],
+        ids=["fan3", "fan4", "comet1", "comet2"] + [f"random{s}" for s in range(12)])
     def test_covers_match_the_definition(self, obj):
         system = subobject_system(obj)
         n = len(system.nodes)
+        leq = [[system.leq(i, j) for j in range(n)] for i in range(n)]
         want = [
             (i, j)
             for i in range(n)
             for j in range(n)
-            if i != j and system.leq(i, j) and not any(
-                k not in (i, j) and system.leq(i, k) and system.leq(k, j)
+            if i != j and leq[i][j] and not any(
+                k not in (i, j) and leq[i][k] and leq[k][j]
                 for k in range(n)
             )
         ]

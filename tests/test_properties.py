@@ -1,19 +1,28 @@
 """Hypothesis-driven structural invariants across randomly drawn objects."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clpa.algebra import AlgebraContext
+from clpa._linalg import nullspace_basis
+from clpa.algebra import AlgebraContext, Monomial
 from clpa.classify import check_no_exit_object, classify
 from clpa.graphs import (
     CLObject,
     Graph,
+    Path,
     complete,
     find_cycles,
     is_complete_subobject,
     predicates,
     relative_graph,
 )
+from clpa.scalars import QQ, PrimeField, involve
+
+from conftest import random_element
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 
 
 @st.composite
@@ -94,6 +103,82 @@ def test_vertex_sum_acts_as_identity(obj):
     for e in sorted(obj.graph.edge_ids()):
         assert ctx.edge(e) * one == ctx.edge(e)
         assert (ctx.ghost(e) * one).star() == ctx.edge(e)
+
+
+def _raw_product(a: Monomial, b: Monomial):
+    """(p q*)(r s*) by definition: p t s* if r = q t, p (s t)* if q = r t, else None."""
+    q, r = a.right, b.left
+    if q.source != r.source:
+        return None
+    if r.edges[:len(q.edges)] == q.edges:
+        tail = r.edges[len(q.edges):]
+        return Monomial(Path(a.left.source, a.left.edges + tail), b.right)
+    if q.edges[:len(r.edges)] == r.edges:
+        tail = q.edges[len(r.edges):]
+        return Monomial(a.left, Path(b.right.source, b.right.edges + tail))
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=small_objects(), field=st.sampled_from(FIELDS),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_element_operations_equal_normal_form_of_raw_combination(obj, field, seed):
+    # from_raw is the oracle: the operations themselves rewrite only q = r products
+    ctx = AlgebraContext(obj, field)
+    rng = random.Random(seed)
+    x = random_element(ctx, rng, max_terms=6)
+    y = random_element(ctx, rng, max_terms=6)
+    raw_x = [(c, m) for m, c in x.terms]
+    raw_y = [(c, m) for m, c in y.terms]
+    products = [(c1 * c2, _raw_product(m1, m2)) for c1, m1 in raw_x for c2, m2 in raw_y]
+    cases = [
+        (x + y, raw_x + raw_y),
+        (x - y, raw_x + [(-c, m) for c, m in raw_y]),
+        (x.star(), [(involve(c), m.star()) for c, m in raw_x]),
+        (x * y, [(c, m) for c, m in products if m is not None]),
+    ]
+    for got, raw in cases:
+        assert got == ctx.from_raw(raw)
+        assert all(ctx.is_normal(m) for m, _ in got.terms)
+
+
+def _dense_nullspace(rows, field) -> list:
+    """Reference: Gauss-Jordan updating every column of every row."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = field.one / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for r, p in enumerate(pivots):
+            vec[p] = -m[r][f]
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_nullspace_basis_matches_dense_elimination(field, data):
+    ncols = data.draw(st.integers(min_value=1, max_value=8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=7))
+    rows = [[field.from_int(x) for x in row] for row in rows]
+    assert nullspace_basis(rows, field) == _dense_nullspace(rows, field)
 
 
 def _brute_force_cycles(g: Graph) -> list:
