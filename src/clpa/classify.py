@@ -34,7 +34,7 @@ from .algebra import (
     evaluate_monomial,
     normal_monomials,
 )
-from .errors import ClassificationBug, NotNoExitObject
+from .errors import ClassificationBug, NotASubgraph, NotNoExitObject
 from .gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
 from .graphs import CLObject, Cycle, Path, SubobjectSystem, paths_into, predicates, subobject_system
 from .scalars import QQ, Field
@@ -252,30 +252,44 @@ def monomial_independence(gmap: GeneratorMap, max_each: Optional[int] = None):
 def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     """Decide whether CL(F, T) -> CL(E, S) is injective for a subobject (F, T).
 
-    The ambient map phi is an isomorphism, so the inclusion is injective
-    exactly when psi, the restriction of phi to the generators of F, is.
-    When psi satisfies the axioms of (F, T) and the degree conditions it is
-    a graded *-homomorphism, and through CL(F, T) = L(F(T)) the graded
+    ``gmap`` must come from :func:`build_generator_map`: its images phi then
+    satisfy every axiom and degree condition of (E, S), and phi is an
+    isomorphism.  F must be a subgraph of E, with the same source and range
+    for each of its edges; otherwise NotASubgraph is raised.
+
+    The inclusion is injective exactly when psi, the restriction of phi to
+    the generators of F, is.  The (V), (E1), (E2) and (CK1) instances of F,
+    and its degree conditions, are instances of those of E at the same
+    images, so they hold.  Only (SCK2) at v in T can be new, because F may
+    drop edges of v; those sums are evaluated.  When they hold, psi is a
+    graded *-homomorphism, and through CL(F, T) = L(F(T)) the graded
     uniqueness theorem (Tomforde, J. Algebra 318, 2007) says it is
     injective iff psi(v) != 0 for every v in F^0 and
     psi(v) - sum over s_F(e) = v of psi(e) psi(e)* != 0 for every regular
     vertex v of F outside T (the sum itself is then nonzero by (CK1)).
     Returns ``(ok, conditions, nonzero)``: the verdict, which is also False
-    when the axioms or degrees fail, the number of nonzero conditions, and
-    how many of them hold.
+    when some (SCK2) of T fails, the number of nonzero conditions, and how
+    many of them hold.
     """
     g = sub.graph
-    psi = {x: gmap.images[x] for x in sorted(g.vertices) + sorted(g.edge_ids())}
-    axioms = check_generator_map(sub, psi).ok
+    if not g.is_subgraph_of(gmap.obj.graph):
+        raise NotASubgraph("candidate is not a subgraph of the ambient graph")
+    psi = gmap.images
+
+    def edge_sum(v):
+        acc = None
+        for e in g.out_edges(v):
+            term = psi[e] * psi[e].star()
+            acc = term if acc is None else acc + term
+        return acc
+
+    relations = all(edge_sum(v) == psi[v] for v in sorted(sub.s_set))
     conditions = [psi[v] for v in sorted(g.vertices)]
     for v in g.regular_vertices():
         if v not in sub.s_set:
-            gap = psi[v]
-            for e in g.out_edges(v):
-                gap = gap - psi[e] * psi[e].star()
-            conditions.append(gap)
+            conditions.append(psi[v] - edge_sum(v))
     nonzero = sum(not x.is_zero() for x in conditions)
-    return axioms and nonzero == len(conditions), len(conditions), nonzero
+    return relations and nonzero == len(conditions), len(conditions), nonzero
 
 
 class ClassifiedSystem(Record):

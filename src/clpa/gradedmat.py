@@ -201,6 +201,16 @@ class GradedMatrix:
         return GradedMatrix(self.algebra, {
             (blk, j, i, -k): involve(a) for (blk, i, j, k), a in self.terms.items()})
 
+    def support(self) -> tuple:
+        """(left, right): the (block, i) and the (block, j) over the units e_ij t^k.
+
+        e_ij e_kl = delta_jk e_il within a block, and units of different
+        blocks multiply to 0, so x y = 0 whenever the right support of x and
+        the left support of y are disjoint.
+        """
+        terms = self.terms
+        return {(b, i) for b, i, _, _ in terms}, {(b, j) for b, _, j, _ in terms}
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -336,6 +336,11 @@ class LaurentPoly(Record):
             self.period, tuple((-k, involve(a)) for k, a in self.terms), self.field
         )
 
+    def support(self) -> tuple:
+        """(left, right): one key on both sides; the ring is commutative, so
+        no product is zero by support."""
+        return {0}, {0}
+
     def is_zero(self) -> bool:
         return not self.terms
 
