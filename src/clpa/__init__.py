@@ -13,8 +13,6 @@ from .algebra import (
     check_generator_map,
     evaluate_element,
     is_idempotent,
-    are_orthogonal,
-    normal_monomials,
     relative_generator_images,
 )
 from .classify import (
@@ -22,7 +20,6 @@ from .classify import (
     check_no_exit_object,
     classify,
     classify_system,
-    monomial_independence,
 )
 from .errors import ClpaError
 from .expr import parse_expression
@@ -33,7 +30,6 @@ from .gradedmat import (
     MatricialSignature,
     brute_force_iso_oracle,
     component_dim,
-    component_project,
     decide_graded_iso,
     signature_from_json,
     signature_to_json,
@@ -71,9 +67,6 @@ from .scalars import (
     QQ,
     LaurentPoly,
     PrimeField,
-    parse_laurent,
-    parse_scalar,
-    scalar_arith,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,10 +18,10 @@ through the rewriting loop.
 
 The special edge of each S-vertex is the lexicographically smallest edge it
 emits; the choice is recorded in the context so normal forms are
-reproducible.  That irreducible monomials are linearly independent is a
-standard fact imported from the structure theory of these algebras; this
-package certifies it empirically through the representation checks in
-:mod:`clpa.classify`.
+reproducible.  That irreducible monomials are linearly independent is
+cited, not proved here (Alahmadi-Alsulami-Jain-Zelmanov, J. Algebra Appl.
+2012); the generator maps of :mod:`clpa.classify` are proved isomorphisms
+without it.
 
 All values are immutable and all operations pure.
 """
@@ -31,9 +31,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
-from .errors import ContextMismatch, IncompleteMap, NonFiniteEnumeration
+from .errors import ContextMismatch, IncompleteMap
 from .graphs import CLObject, Graph, Path, relative_graph
-from .scalars import QQ, Field, Scalar, field_of, involve
+from .scalars import QQ, Field, Scalar, field_of
 
 
 class Monomial(Record):
@@ -289,12 +289,12 @@ class AlgebraElement(Record):
         return AlgebraElement(self.ctx, tuple((m, a * c) for m, c in self.terms))
 
     def star(self) -> "AlgebraElement":
-        """The involution: termwise swap of p and q with coefficient involution.
+        """The involution: termwise swap of p and q (the field involution is the identity).
 
         Swapping keeps each monomial normal and distinct, so only the order changes.
         """
         return AlgebraElement(self.ctx, tuple(sorted(
-            ((m.star(), involve(c)) for m, c in self.terms), key=_term_key)))
+            ((m.star(), c) for m, c in self.terms), key=_term_key)))
 
     def support(self) -> tuple:
         """(left, right): the sources of the p and of the q over the terms p q*.
@@ -334,53 +334,6 @@ _set_elem_ctx, _set_elem_terms = AlgebraElement.ctx.__set__, AlgebraElement.term
 
 def is_idempotent(x: AlgebraElement) -> bool:
     return x * x == x
-
-
-def are_orthogonal(x: AlgebraElement, y: AlgebraElement) -> bool:
-    return (x * y).is_zero() and (y * x).is_zero()
-
-
-# -- path and monomial enumeration (desk scale) ------------------------------
-
-
-def all_paths(graph: Graph, max_length: Optional[int] = None) -> list:
-    """Every path of the graph up to ``max_length`` (unbounded needs acyclicity)."""
-    from .graphs import find_cycles
-
-    if max_length is None:
-        if find_cycles(graph):
-            raise NonFiniteEnumeration("graph has cycles; pass max_length")
-        max_length = len(graph.vertices)
-    out = [Path(v) for v in sorted(graph.vertices)]
-    frontier = list(out)
-    for _ in range(max_length):
-        nxt = []
-        for p in frontier:
-            for e in graph.out_edges(graph.path_range(p)):
-                nxt.append(Path(p.source, p.edges + (e,)))
-        out.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    out.sort(key=Path.sort_key)
-    return out
-
-
-def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> list:
-    """All normal-form monomials p|q with paths of length at most ``max_each``."""
-    paths = all_paths(ctx.graph, max_each)
-    by_range: dict = {}
-    for p in paths:
-        by_range.setdefault(ctx.graph.path_range(p), []).append(p)
-    out = []
-    for _, group in sorted(by_range.items()):
-        for p in group:
-            for q in group:
-                m = Monomial(p, q)
-                if ctx.is_normal(m):
-                    out.append(m)
-    out.sort(key=Monomial.sort_key)
-    return out
 
 
 # -- generator maps ----------------------------------------------------------

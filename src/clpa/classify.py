@@ -15,24 +15,22 @@ matrix block over a Laurent ring per cycle:
 enumerated path q_i of a block indexes a matrix dimension, a vertex maps to
 the diagonal units of the paths it emits, and an edge e maps to the units
 e_{ij} t^k determined by factoring e.q_j as q_i followed by k turns of the
-cycle.  Every map is machine-verified (axioms, surjectivity onto matrix
-units, degrees) before it is returned; a verification failure is always an
-implementation bug, never a valid state, and raises ClassificationBug.
+cycle.  Every map is proved a graded *-isomorphism (axioms, injectivity by
+graded uniqueness, surjectivity onto matrix units, degrees) before it is
+returned; a verification failure is always an implementation bug, never a
+valid state, and raises ClassificationBug.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import rank_of_sparse
 from ._record import Record
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
     check_generator_map,
     evaluate_element,
-    evaluate_monomial,
-    normal_monomials,
 )
 from .errors import ClassificationBug, NotASubgraph, NotNoExitObject
 from .gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
@@ -114,7 +112,13 @@ def classify(obj: CLObject) -> MatricialSignature:
 
 
 class GeneratorMap(Record):
-    """A verified generator assignment into the direct sum of matrix blocks."""
+    """A verified generator assignment into the direct sum of matrix blocks.
+
+    Its images extend to a graded *-isomorphism from CL(E, S) onto the
+    direct sum: :func:`_verify_generator_map` proves the extension a
+    homomorphism (axioms), injective (graded uniqueness) and surjective
+    (every unit is hit).
+    """
 
     obj: CLObject
     ctx: AlgebraContext
@@ -176,15 +180,39 @@ def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
     return gmap
 
 
-def _verify_generator_map(gmap: GeneratorMap) -> None:
-    """Check the axioms, then that the images hit every unit of every block.
+def uniqueness_conditions(graph, s_set, images) -> dict:
+    """The elements graded uniqueness needs nonzero for a *-homomorphism psi.
 
-    Once the axioms hold, the images extend to a graded *-homomorphism phi,
-    and phi(q_i mid q_j*) = P_i M P_j* with P_q = phi(q) and M = phi(mid),
+    Through CL(E, S) = L(E(S)), the graded uniqueness theorem (Tomforde,
+    J. Algebra 318, 2007) makes a graded *-homomorphism psi out of CL(E, S)
+    injective iff psi(v) != 0 for every vertex v and
+    psi(v) - sum over s(e) = v of psi(e) psi(e)* != 0 for every regular
+    vertex v outside S.  Returns those elements keyed ``(v, False)`` and
+    ``(v, True)`` respectively, from the generator ``images`` of psi.
+    """
+    conditions = {(v, False): images[v] for v in sorted(graph.vertices)}
+    for v in graph.regular_vertices():
+        if v not in s_set:
+            gap = images[v]
+            for e in graph.out_edges(v):
+                gap = gap - images[e] * images[e].star()
+            conditions[v, True] = gap
+    return conditions
+
+
+def _verify_generator_map(gmap: GeneratorMap) -> None:
+    """Prove that the images extend to a graded *-isomorphism onto the blocks.
+
+    Once the axioms and degrees hold, the images extend to a graded
+    *-homomorphism phi from CL(E, S) = L(E(S)) into the direct sum.  Graded
+    uniqueness makes phi injective when every :func:`uniqueness_conditions`
+    element is nonzero, and phi is surjective when it hits every unit.
+    phi(q_i mid q_j*) = P_i M P_j* with P_q = phi(q) and M = phi(mid),
     where mid = w for a sink or cycle base w, and w minus the sum of e e*
     over its edges for a regular target outside S (its block tracks that
-    complement).  For a cycle block, q_i c and q_j c give the units times
-    t and t^-1, with C = phi(c) inserted.
+    complement; phi of it is already a uniqueness condition).  For a cycle
+    block, q_i c and q_j c give the units times t and t^-1, with C = phi(c)
+    inserted.
     """
     report = check_generator_map(gmap.obj, gmap.images)
     if not report.ok:
@@ -193,13 +221,15 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
         )
     g = gmap.obj.graph
     images = gmap.images
+    conditions = uniqueness_conditions(g, gmap.obj.s_set, images)
+    for (v, gap), x in conditions.items():
+        if x.is_zero():
+            what = f"phi({v}) - sum of phi(e) phi(e)* over s(e) = {v}" if gap else f"phi({v})"
+            raise ClassificationBug(f"generator map is not injective: {what} is 0")
     one = gmap.algebra.base.one
     for bi, (b, alg) in enumerate(zip(gmap.blocks, gmap.algebra.summands)):
         w = b.target
-        mid = images[w]
-        if b.kind == "unrelated":
-            for e in g.out_edges(w):
-                mid = mid - images[e] * images[e].star()
+        mid = conditions[w, b.kind == "unrelated"]
         # paths are sorted by length, so the suffix q' of q = e.q' comes first
         image_of = {}
         for q in b.paths:
@@ -236,19 +266,6 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
                         )
 
 
-def monomial_independence(gmap: GeneratorMap, max_each: Optional[int] = None):
-    """Certify that distinct normal-form monomials have independent images.
-
-    Enumerates the normal monomials of the map's context with paths of
-    length at most ``max_each``, pushes them through the map, and returns
-    ``(ok, count, rank)`` of the resulting coordinate vectors.
-    """
-    monos = normal_monomials(gmap.ctx, max_each=max_each)
-    vectors = [evaluate_monomial(m, gmap.images).terms for m in monos]
-    rank = rank_of_sparse(vectors, gmap.ctx.field)
-    return rank == len(monos), len(monos), rank
-
-
 def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     """Decide whether CL(F, T) -> CL(E, S) is injective for a subobject (F, T).
 
@@ -262,11 +279,9 @@ def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     and its degree conditions, are instances of those of E at the same
     images, so they hold.  Only (SCK2) at v in T can be new, because F may
     drop edges of v; those sums are evaluated.  When they hold, psi is a
-    graded *-homomorphism, and through CL(F, T) = L(F(T)) the graded
-    uniqueness theorem (Tomforde, J. Algebra 318, 2007) says it is
-    injective iff psi(v) != 0 for every v in F^0 and
-    psi(v) - sum over s_F(e) = v of psi(e) psi(e)* != 0 for every regular
-    vertex v of F outside T (the sum itself is then nonzero by (CK1)).
+    graded *-homomorphism, injective iff every
+    :func:`uniqueness_conditions` element of (F, T) is nonzero (for a
+    regular v outside T, the sum of psi(e) psi(e)* is then nonzero by (CK1)).
     Returns ``(ok, conditions, nonzero)``: the verdict, which is also False
     when some (SCK2) of T fails, the number of nonzero conditions, and how
     many of them hold.
@@ -284,10 +299,7 @@ def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
         return acc
 
     relations = all(edge_sum(v) == psi[v] for v in sorted(sub.s_set))
-    conditions = [psi[v] for v in sorted(g.vertices)]
-    for v in g.regular_vertices():
-        if v not in sub.s_set:
-            conditions.append(psi[v] - edge_sum(v))
+    conditions = uniqueness_conditions(g, sub.s_set, psi).values()
     nonzero = sum(not x.is_zero() for x in conditions)
     return relations and nonzero == len(conditions), len(conditions), nonzero
 

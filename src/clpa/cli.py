@@ -21,9 +21,9 @@ from .expr import parse_expression
 from .gradedmat import decide_graded_iso, signature_from_json, signature_to_json
 from .graphs import (
     load_object,
-    object_from_json,
     object_to_json,
     predicates,
+    read_json,
     relative_graph,
     subobject_system,
     system_to_dot,
@@ -67,7 +67,7 @@ def cmd_classify(args) -> int:
                 f"{i:>5}  {b.kind:<10} {b.target:<10} {b.size:>4}  {period:>6}  "
                 f"{list(b.shifts)}"
             )
-        print("generator map verified (axioms, surjectivity, degrees)")
+        print("generator map verified (axioms, injectivity, surjectivity, degrees)")
     return 0
 
 
@@ -148,8 +148,7 @@ def cmd_complete(args) -> int:
         return 0
     if not args.sub:
         raise ClpaError("complete needs --sub SUB.json or --system")
-    with open(args.sub) as fh:
-        sub = object_from_json(json.load(fh))
+    sub = load_object(args.sub)
     from .graphs import complete as complete_op
 
     result = complete_op(sub.graph, ambient)
@@ -221,11 +220,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    with open(args.sig_a) as fh:
-        sig_a = signature_from_json(json.load(fh))
-    with open(args.sig_b) as fh:
-        sig_b = signature_from_json(json.load(fh))
-    decision = decide_graded_iso(sig_a, sig_b)
+    decision = decide_graded_iso(signature_from_json(read_json(args.sig_a)),
+                                 signature_from_json(read_json(args.sig_b)))
     if args.json:
         payload = {"verdict": decision.verdict}
         if decision.verdict == "yes":
@@ -353,7 +349,7 @@ def main(argv=None) -> int:
     except ClassificationBug as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except (ClpaError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ClpaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

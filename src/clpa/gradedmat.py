@@ -21,7 +21,7 @@ from typing import Optional
 
 from ._record import Record
 from .errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
-from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar, field_of, involve
+from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar, field_of
 
 
 class GradedMatrixAlgebra(Record):
@@ -197,9 +197,9 @@ class GradedMatrix:
         return GradedMatrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
 
     def star(self) -> "GradedMatrix":
-        """The *-transpose: transpose with entry involution."""
+        """The *-transpose: transpose, with t^k -> t^-k (the field involution is the identity)."""
         return GradedMatrix(self.algebra, {
-            (blk, j, i, -k): involve(a) for (blk, i, j, k), a in self.terms.items()})
+            (blk, j, i, -k): a for (blk, i, j, k), a in self.terms.items()})
 
     def support(self) -> tuple:
         """(left, right): the (block, i) and the (block, j) over the units e_ij t^k.
@@ -230,11 +230,6 @@ class GradedMatrix:
             "[" + "; ".join(", ".join(str(self.entry(i, j, b)) for j in range(alg.size))
                             for i in range(alg.size)) + "]"
             for b, alg in enumerate(self.algebra.summands))
-
-
-def component_project(m: GradedMatrix, delta: int) -> GradedMatrix:
-    """Keep only the units of homogeneous degree ``delta``."""
-    return m.degree_components().get(delta, m.algebra.zero())
 
 
 # -- the classification invariant ---------------------------------------------

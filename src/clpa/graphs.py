@@ -556,13 +556,18 @@ def object_from_json(data) -> CLObject:
     return CLObject(Graph(vertices, edges), s_set)
 
 
-def load_object(path: str) -> CLObject:
+def read_json(path: str):
+    """The JSON value in a file; malformed or too deeply nested text raises
+    GraphFormatError naming the file."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphFormatError(f"{path}: {exc}") from exc
-    return object_from_json(data)
+
+
+def load_object(path: str) -> CLObject:
+    return object_from_json(read_json(path))
 
 
 def system_to_dot(system: SubobjectSystem) -> str:

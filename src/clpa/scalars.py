@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import Record
-from .errors import DivisionByZero, FieldMismatch, PeriodMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, PeriodMismatch
 
 
 def _is_prime(n: int) -> bool:
@@ -202,55 +202,6 @@ def field_from_spec(spec: str) -> Field:
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'gf:p')")
 
 
-def involve(a: Scalar) -> Scalar:
-    """The field involution.  Identity for both supported fields."""
-    return a
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic with explicit error contracts.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``.
-    """
-    if field_of(a) != field_of(b):
-        raise FieldMismatch(f"{field_of(a)!r} vs {field_of(b)!r}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def parse_scalar(text: str, field: Field) -> Scalar:
-    """Parse a scalar: an integer, ``a/b`` over the rationals, or ``k mod p``."""
-    text = text.strip()
-    m = re.fullmatch(r"(-?\d+)\s+mod\s+(\d+)", text)
-    if m:
-        k, p = int(m.group(1)), int(m.group(2))
-        if not isinstance(field, PrimeField) or field.p != p:
-            raise ParseError(f"scalar {text!r} does not live in {field!r}")
-        return PFElement(k, p)
-    m = re.fullmatch(r"(-?\d+)\s*/\s*(-?\d+)", text)
-    if m:
-        if isinstance(field, PrimeField):
-            num = field.from_int(int(m.group(1)))
-            den = field.from_int(int(m.group(2)))
-            return scalar_arith(num, den, "div")
-        if int(m.group(2)) == 0:
-            raise DivisionByZero("division by zero")
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"-?\d+", text)
-    if m:
-        return field.from_int(int(text))
-    raise ParseError(f"cannot parse scalar {text!r}")
-
-
 class LaurentPoly(Record):
     """A Laurent polynomial sum(a_k t^k) whose generator t carries degree ``period``.
 
@@ -331,10 +282,8 @@ class LaurentPoly(Record):
         return LaurentPoly(self.period, tuple((k, a * c) for k, c in self.terms), self.field)
 
     def star(self) -> "LaurentPoly":
-        """Involution: degree reversal t^k -> t^-k with coefficient involution."""
-        return LaurentPoly(
-            self.period, tuple((-k, involve(a)) for k, a in self.terms), self.field
-        )
+        """Involution: degree reversal t^k -> t^-k (the field involution is the identity)."""
+        return LaurentPoly(self.period, tuple((-k, a) for k, a in self.terms), self.field)
 
     def support(self) -> tuple:
         """(left, right): one key on both sides; the ring is commutative, so
@@ -366,46 +315,3 @@ class LaurentPoly(Record):
                 one = self.field.one
                 parts.append(tpow if a == one else f"{a}*{tpow}")
         return " + ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<tpow1>t(?:\^(?P<exp1>-?\d+))?))?
-          | (?P<tpow2>t(?:\^(?P<exp2>-?\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str, period: int, field: Field) -> LaurentPoly:
-    """Parse e.g. ``3*t^-2 + 1 + t^5``; the period is supplied by the caller."""
-    coeffs: dict = {}
-    pos = 0
-    first = True
-    text = text.strip()
-    if not text:
-        raise ParseError("empty Laurent polynomial", 0)
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot parse Laurent term in {text!r}", pos)
-        sign = m.group("sign")
-        if not first and sign is None:
-            raise ParseError("missing '+'/'-' between terms", pos)
-        neg = sign == "-"
-        if m.group("coeff") is not None:
-            a = parse_scalar(m.group("coeff"), field)
-            if m.group("tpow1"):
-                k = int(m.group("exp1") or 1)
-            else:
-                k = 0
-        else:
-            a = field.one
-            k = int(m.group("exp2") or 1)
-        if neg:
-            a = -a
-        coeffs[k] = coeffs.get(k, field.zero) + a
-        pos = m.end()
-        first = False
-    return LaurentPoly.from_dict(period, coeffs, field)

@@ -217,7 +217,7 @@ def random_element(ctx: AlgebraContext, rng: random.Random,
 
 
 def _paths_to(ctx: AlgebraContext, target: str, max_len: int):
-    from clpa.algebra import all_paths
+    from oracles import all_paths
 
     return [p for p in all_paths(ctx.graph, max_len)
             if ctx.graph.path_range(p) == target]

@@ -3,14 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clpa._linalg import rank_of_sparse
-from clpa.algebra import (
-    AlgebraContext,
-    check_generator_map,
-    evaluate_monomial,
-    normal_monomials,
-)
+from clpa.algebra import AlgebraContext, check_generator_map
 from clpa.classify import (
     GeneratorMap,
     _verify_generator_map,
@@ -20,7 +16,7 @@ from clpa.classify import (
     classify,
     classify_system,
     inclusion_injective,
-    monomial_independence,
+    uniqueness_conditions,
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
 from clpa.gradedmat import DirectSum, GradedMatrix, MatricialSignature
@@ -40,6 +36,7 @@ from conftest import (
     single_sink,
     tree,
 )
+from oracles import monomial_independence
 
 
 class TestNoExitObjectCheck:
@@ -232,7 +229,7 @@ class TestGeneratorMaps:
 
     def test_monomial_independence_on_corpus(self, no_exit_object):
         gmap = build_generator_map(no_exit_object)
-        ok, count, rank = monomial_independence(gmap, max_each=3)
+        ok, count, rank = monomial_independence(gmap.ctx, gmap.images, max_each=3)
         assert ok, f"rank {rank} < {count}"
 
 
@@ -265,6 +262,59 @@ class TestVerifierRejects:
                     _verify_generator_map(bad)
                 dropped += 1
         assert dropped > 0
+
+
+def _three_block_object():
+    # u -> w (sink) and u -> v (loop c, v in S): one sink, one unrelated and
+    # one cycle block
+    return CLObject(Graph(["u", "v", "w"], [("c", "v", "v"), ("e", "u", "w"),
+                                            ("f", "u", "v")]), ["v"])
+
+
+def _projections(gmap):
+    """The zero map, then each map that drops one block of ``gmap``'s images."""
+    yield "zero", {x: img.zero() for x, img in gmap.images.items()}
+    for bi in range(len(gmap.blocks)):
+        yield f"drop block {bi}", {x: GradedMatrix(img.algebra, {
+            u: a for u, a in img.terms.items() if u[0] != bi}) for x, img in gmap.images.items()}
+
+
+class TestInjectivityStep:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+    def test_homomorphisms_with_a_kernel_fail_injectivity(self, field):
+        obj = _three_block_object()
+        gmap = build_generator_map(obj, field=field)
+        assert sorted(b.kind for b in gmap.blocks) == ["cycle", "sink", "unrelated"]
+        seen = 0
+        for name, images in _projections(gmap):
+            # still a graded *-homomorphism, so only the uniqueness step can catch it
+            assert check_generator_map(obj, images).ok, name
+            bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, gmap.algebra, images)
+            with pytest.raises(ClassificationBug, match="is not injective") as info:
+                _verify_generator_map(bad)
+            assert "is not hit" not in str(info.value), name
+            seen += 1
+        assert seen == 1 + len(gmap.blocks)
+
+    def test_names_the_vanishing_condition(self):
+        obj = _three_block_object()
+        gmap = build_generator_map(obj)
+        unrelated = next(i for i, b in enumerate(gmap.blocks) if b.kind == "unrelated")
+        images = dict(_projections(gmap))[f"drop block {unrelated}"]
+        bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, gmap.algebra, images)
+        with pytest.raises(ClassificationBug,
+                           match=r"phi\(u\) - sum of phi\(e\) phi\(e\)\* over s\(e\) = u is 0"):
+            _verify_generator_map(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_maps_meet_every_condition(self, seed):
+        obj = random_no_exit_object(random.Random(seed))
+        gmap = build_generator_map(obj)
+        conditions = uniqueness_conditions(obj.graph, obj.s_set, gmap.images)
+        regular_outside = [v for v in obj.graph.regular_vertices() if v not in obj.s_set]
+        assert len(conditions) == len(obj.graph.vertices) + len(regular_outside)
+        assert all(not x.is_zero() for x in conditions.values())
 
 
 class TestClassifySystem:
@@ -325,9 +375,7 @@ def test_injectivity_agrees_with_rank_oracle(name):
 
 
 def _independent_images(node, images) -> bool:
-    monos = normal_monomials(AlgebraContext(node), max_each=2)
-    vectors = [evaluate_monomial(m, images).terms for m in monos]
-    return rank_of_sparse(vectors, QQ) == len(monos)
+    return monomial_independence(AlgebraContext(node), images, max_each=2)[0]
 
 
 class TestInclusionRejects:

@@ -428,6 +428,8 @@ def _regression(argv, data):
 
 _EDGE = {"id": "e", "src": "v", "rng": "w"}
 _GRAPH = {"vertices": ["v", "w"], "edges": [_EDGE], "S": ["v"]}
+# nesting past the interpreter's recursion limit; json.dumps cannot write it
+_DEEP = "[" * 200_000 + "]" * 200_000
 
 
 @_regression(["classify", "@a"], {**_GRAPH, "vertices": 5})
@@ -437,6 +439,9 @@ _GRAPH = {"vertices": ["v", "w"], "edges": [_EDGE], "S": ["v"]}
 @_regression(["complete", "@a", "--system"], {**_GRAPH, "edges": [{**_EDGE, "src": {}}]})
 @_regression(["iso", "@a", "@a"], {"laurent_blocks": [{"size": 1, "period": 0, "shifts": [0]}]})
 @_regression(["iso", "@a", "@a"], {"laurent_blocks": [{"size": 1, "period": None, "shifts": [0]}]})
+@example(case=(["classify", "@a"], _DEEP, "{}"))
+@example(case=(["iso", "@a", "@a"], _DEEP, "{}"))
+@example(case=(["complete", "@a", "--sub", "@b"], json.dumps(_GRAPH), _DEEP))
 @settings(max_examples=300, deadline=None)
 @given(case=_invocation())
 def test_cli_fuzz_exits_0_2_or_3(case):
