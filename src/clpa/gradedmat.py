@@ -4,9 +4,10 @@ A shift vector (g_1, ..., g_n) grades the n x n matrices by declaring the
 (i, j) entry of internal degree d to be homogeneous of degree d + g_i - g_j;
 the involution is the entry-wise involution composed with transposition.
 Over the base field entries are scalars (internal degree 0); over a Laurent
-ring of period n the entry t^k has internal degree k*n.  An element of such
-an algebra, or of a finite direct sum of them, is stored sparsely, as the
-coefficients of its matrix units e_ij t^k keyed by (block, i, j, k).
+ring of period n the entry t^k has internal degree k*n.  An element of a
+:class:`DirectSum` of such algebras (a single algebra is a sum of one) is
+stored sparsely, as the coefficients of its matrix units e_ij t^k keyed by
+(block, i, j, k).
 
 The classification invariant :class:`MatricialSignature` collects such blocks
 in a canonical form: shifts are normalized (for Laurent blocks up to circular
@@ -25,7 +26,10 @@ from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar, field_of
 
 
 class GradedMatrixAlgebra(Record):
-    """M_n(K) or M_n(K[t^p, t^-p]) with an integer shift vector."""
+    """M_n(K) or M_n(K[t^p, t^-p]) with an integer shift vector.
+
+    A block descriptor: its elements live in ``DirectSum((alg,), alg.base)``.
+    """
 
     kind: str                 # "field" | "laurent"
     size: int
@@ -46,31 +50,6 @@ class GradedMatrixAlgebra(Record):
                 raise ValueError("laurent kind needs a positive period")
         elif self.period is not None:
             raise ValueError("field kind carries no period")
-
-    @property
-    def summands(self) -> tuple:
-        """The algebra as a direct sum of one block (block index 0)."""
-        return (self,)
-
-    # -- elements ------------------------------------------------------------
-
-    def zero(self) -> "GradedMatrix":
-        return GradedMatrix(self, {})
-
-    def unit(self, i: int, j: int, tpow: int = 0, coeff: Optional[Scalar] = None) -> "GradedMatrix":
-        """The matrix unit e_ij (times t^tpow for Laurent blocks); 0-indexed."""
-        self._check_unit(i, j, tpow)
-        u = GradedMatrix(self, {(0, i, j, tpow): self.base.one})
-        return u if coeff is None else u.scale(coeff)
-
-    def _check_unit(self, i: int, j: int, tpow: int) -> None:
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IndexError(f"unit ({i}, {j}) outside a size-{self.size} block")
-        if self.kind == "field" and tpow != 0:
-            raise ValueError("no t in a field block")
-
-    def identity(self) -> "GradedMatrix":
-        return GradedMatrix(self, {(0, i, i, 0): self.base.one for i in range(self.size)})
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
         return tpow * (self.period or 0) + self.shifts[i] - self.shifts[j]
@@ -105,10 +84,14 @@ class DirectSum(Record):
         return GradedMatrix(self, {})
 
     def unit(self, block: int, i: int, j: int, tpow: int = 0) -> "GradedMatrix":
-        """The matrix unit e_ij t^tpow of summand ``block``."""
+        """The matrix unit e_ij t^tpow of summand ``block``; 0-indexed."""
         if not 0 <= block < len(self.summands):
             raise IndexError(f"block {block} outside a sum of {len(self.summands)}")
-        self.summands[block]._check_unit(i, j, tpow)
+        alg = self.summands[block]
+        if not (0 <= i < alg.size and 0 <= j < alg.size):
+            raise IndexError(f"unit ({i}, {j}) outside a size-{alg.size} block")
+        if alg.kind == "field" and tpow != 0:
+            raise ValueError("no t in a field block")
         return GradedMatrix(self, {(block, i, j, tpow): self.base.one})
 
 
@@ -128,10 +111,9 @@ def _nonzero(terms: dict) -> dict:
 
 
 class GradedMatrix:
-    """A finite sum of matrix units of a :class:`GradedMatrixAlgebra` or a
-    :class:`DirectSum`: ``terms`` maps (block, i, j, k) to the nonzero
-    coefficient of e_ij t^k in that summand (k = 0 in field blocks; block 0
-    in a single algebra)."""
+    """A finite sum of matrix units of a :class:`DirectSum`: ``terms`` maps
+    (block, i, j, k) to the nonzero coefficient of e_ij t^k in that summand
+    (k = 0 in field blocks)."""
 
     __slots__ = ("algebra", "terms")
 
@@ -290,12 +272,7 @@ class MatricialSignature(Record):
         return tuple(out)
 
     def describe(self) -> str:
-        parts = [GradedMatrixAlgebra("field", k, sh).describe()
-                 for k, sh in self.field_blocks]
-        parts.extend(
-            GradedMatrixAlgebra("laurent", m, sh, period=n).describe()
-            for m, n, sh in self.laurent_blocks)
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(a.describe() for a in self.algebras()) or "0"
 
 
 def signature_to_json(sig: MatricialSignature) -> dict:
@@ -381,30 +358,24 @@ def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> Optional[Blo
 
 def _verify_block_match(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra,
                         match: BlockMatch) -> bool:
-    """Check the unit-level map e_ij t^k -> e_{p(i)p(j)} t^(k + c_i - c_j).
+    """Prove e_ij t^k -> e_{p(i)p(j)} t^(k + c_i - c_j) a graded *-isomorphism.
 
     As e_ij e_kl = delta_jk e_il, the map is multiplicative exactly when the
     permutation p is injective, and it is then a bijection of matrix units;
-    so it checks that p permutes the indices, that the map commutes with the
-    involution, and that it preserves the degree of every unit.
+    it commutes with the involution by the definition of star.  It keeps the
+    degree of every unit exactly when a_i - b_p(i) - c_i * period is the same
+    for every i, so the n equations a_i + d = b_p(i) + c_i * period, with d
+    the translation, prove it graded (a field block has period 0 and c = 0).
     """
     n = a.size
     perm, c = match.permutation, match.tpowers
-    if b.size != n or sorted(perm) != list(range(n)):
+    if (b.kind, b.size, b.period) != (a.kind, n, a.period) or sorted(perm) != list(range(n)):
         return False
-    exps = (0,) if a.kind == "field" else (-1, 0, 1)
-    for i in range(n):
-        for j in range(n):
-            for k in exps:
-                if a.unit_degree(i, j, k) != b.unit_degree(
-                    perm[i], perm[j], k + c[i] - c[j]
-                ):
-                    return False
-            if b.unit(perm[i], perm[j], c[i] - c[j]).star() != b.unit(
-                perm[j], perm[i], c[j] - c[i]
-            ):
-                return False
-    return True
+    if a.kind == "field" and any(c):
+        return False
+    period = a.period or 0
+    return all(a.shifts[i] + match.translation == b.shifts[perm[i]] + c[i] * period
+               for i in range(n))
 
 
 def _scan_window(spreads, periods) -> int:

@@ -308,7 +308,7 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
     triv = next(i for i, p in enumerate(gmap.blocks[block_index].paths) if p.is_trivial)
 
     def unit(k):
-        return gmap.block_unit(block_index, triv, triv, k)
+        return gmap.algebra.unit(block_index, triv, triv, k)
 
     statements = [f"cycle {cycle} based at {base} (length {cycle.length})"]
     powers = []

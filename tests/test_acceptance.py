@@ -63,11 +63,11 @@ def test_criterion_1_explicit_family_reproduction():
         assert sig == expected, f"n={n}: {sig.describe()}"
         gmap = build_generator_map(obj, sig)  # raises on any verification failure
         for i in range(1, n + 1):
-            assert gmap.evaluate(gmap.ctx.vertex(f"u{i}")) == gmap.block_unit(i - 1, 0, 0)
-            assert gmap.evaluate(gmap.ctx.edge(f"e{i}")) == gmap.block_unit(i - 1, 1, 0)
-        v_expected = gmap.block_unit(n, 0, 0)
+            assert gmap.evaluate(gmap.ctx.vertex(f"u{i}")) == gmap.algebra.unit(i - 1, 0, 0)
+            assert gmap.evaluate(gmap.ctx.edge(f"e{i}")) == gmap.algebra.unit(i - 1, 1, 0)
+        v_expected = gmap.algebra.unit(n, 0, 0)
         for i in range(n):
-            v_expected = v_expected + gmap.block_unit(i, 1, 1)
+            v_expected = v_expected + gmap.algebra.unit(i, 1, 1)
         assert gmap.evaluate(gmap.ctx.vertex("v")) == v_expected
         worst = max(worst, time.perf_counter() - t0)
     _announce(1, worst < 1.0, f"n=1..5 signatures and maps verified, worst {worst:.3f}s per n")

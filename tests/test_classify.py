@@ -19,7 +19,7 @@ from clpa.classify import (
     uniqueness_conditions,
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
-from clpa.gradedmat import DirectSum, GradedMatrix, MatricialSignature
+from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
 from clpa.graphs import CLObject, Graph, predicates
 from clpa.scalars import QQ, PrimeField
 
@@ -185,26 +185,26 @@ class TestGeneratorMaps:
             # block order: sinks u1..un, then the unrelated source v
             for i in range(1, n + 1):
                 u_img = gmap.evaluate(gmap.ctx.vertex(f"u{i}"))
-                assert u_img == gmap.block_unit(i - 1, 0, 0)
+                assert u_img == gmap.algebra.unit(i - 1, 0, 0)
                 e_img = gmap.evaluate(gmap.ctx.edge(f"e{i}"))
-                assert e_img == gmap.block_unit(i - 1, 1, 0)
+                assert e_img == gmap.algebra.unit(i - 1, 1, 0)
             v_img = gmap.evaluate(gmap.ctx.vertex("v"))
-            expected = gmap.block_unit(n, 0, 0)
+            expected = gmap.algebra.unit(n, 0, 0)
             for i in range(n):
-                expected = expected + gmap.block_unit(i, 1, 1)
+                expected = expected + gmap.algebra.unit(i, 1, 1)
             assert v_img == expected
 
     def test_loop_map(self):
         gmap = build_generator_map(loop())
-        assert gmap.evaluate(gmap.ctx.vertex("v")) == gmap.block_unit(0, 0, 0)
-        assert gmap.evaluate(gmap.ctx.edge("c")) == gmap.block_unit(0, 0, 0, tpow=1)
+        assert gmap.evaluate(gmap.ctx.vertex("v")) == gmap.algebra.unit(0, 0, 0)
+        assert gmap.evaluate(gmap.ctx.edge("c")) == gmap.algebra.unit(0, 0, 0, tpow=1)
 
     def test_chain_leavitt_map(self):
         obj = CLObject(Graph(["u", "v"], [("g", "u", "v")]), ["u"])
         gmap = build_generator_map(obj)
-        assert gmap.evaluate(gmap.ctx.vertex("v")) == gmap.block_unit(0, 0, 0)
-        assert gmap.evaluate(gmap.ctx.vertex("u")) == gmap.block_unit(0, 1, 1)
-        assert gmap.evaluate(gmap.ctx.edge("g")) == gmap.block_unit(0, 1, 0)
+        assert gmap.evaluate(gmap.ctx.vertex("v")) == gmap.algebra.unit(0, 0, 0)
+        assert gmap.evaluate(gmap.ctx.vertex("u")) == gmap.algebra.unit(0, 1, 1)
+        assert gmap.evaluate(gmap.ctx.edge("g")) == gmap.algebra.unit(0, 1, 0)
 
     def test_corpus_maps_verify(self, no_exit_object):
         # build_generator_map raises on any axiom/surjectivity/degree failure
@@ -262,6 +262,32 @@ class TestVerifierRejects:
                     _verify_generator_map(bad)
                 dropped += 1
         assert dropped > 0
+
+
+@pytest.mark.parametrize("obj", [fan(2), cycle_with_tail()], ids=["fan2", "cycle_with_tail"])
+def test_block_shifts_not_a_translation_fail_degrees(obj):
+    # the same units in a block whose shifts moved by i at index i: the
+    # products still hold, so only the degree check can catch it
+    gmap = build_generator_map(obj)
+    changed = 0
+    for bi, alg in enumerate(gmap.algebra.summands):
+        if alg.size < 2:
+            continue
+        moved = GradedMatrixAlgebra(alg.kind, alg.size,
+                                    tuple(g + i for i, g in enumerate(alg.shifts)),
+                                    alg.period, alg.base)
+        summands = list(gmap.algebra.summands)
+        summands[bi] = moved
+        algebra = DirectSum(tuple(summands), gmap.algebra.base)
+        images = {x: GradedMatrix(algebra, img.terms) for x, img in gmap.images.items()}
+        report = check_generator_map(obj, images)
+        assert not report.failures and report.degree_failures
+        bad = GeneratorMap(obj, gmap.ctx, gmap.blocks, algebra, images)
+        with pytest.raises(ClassificationBug,
+                           match="fails axioms: .*image not homogeneous of degree"):
+            _verify_generator_map(bad)
+        changed += 1
+    assert changed > 0
 
 
 def _three_block_object():

@@ -133,6 +133,14 @@ def test_field_validated_by_every_subcommand(command, loop_file, rose_exit_file,
     assert "4 is not prime" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _laurent_2x2(shifts):
+    return {"laurent_blocks": [{"size": 2, "period": 3_000_000, "shifts": shifts}]}
+
+
+def _field_block(shifts):
+    return {"field_blocks": [{"size": len(shifts), "shifts": shifts}]}
+
+
 class TestCli:
     def test_classify_loop(self, loop_file):
         proc = run_cli(["classify", loop_file])
@@ -198,14 +206,22 @@ class TestCli:
         proc = run_cli(["iso", str(a), str(b)])
         assert proc.returncode == 0 and "yes" in proc.stdout
 
-    @pytest.mark.parametrize("shifts, verdict", [([2_999_999, 999_999], "yes"), ([0, 2], "no")])
-    def test_iso_large_period(self, tmp_path, shifts, verdict):
-        # nothing may run over the range of the period
+    @pytest.mark.parametrize("sig_a, sig_b, verdict", [
+        pytest.param(_laurent_2x2([0, 1_000_000]), _laurent_2x2([2_999_999, 999_999]), "yes",
+                     id="shifts0-yes"),
+        pytest.param(_laurent_2x2([0, 1_000_000]), _laurent_2x2([0, 2]), "no",
+                     id="shifts1-no"),
+        pytest.param(_field_block([(i * 37) % 101 for i in range(1000)]),
+                     _field_block([(i * 37) % 101 + 5 for i in reversed(range(1000))]), "yes",
+                     id="field1000-yes"),
+    ])
+    def test_iso_large_period(self, tmp_path, sig_a, sig_b, verdict):
+        # nothing may run over the range of the period, or over the n^2
+        # matrix units of a large block
         paths = []
-        for name, sh in (("a", [0, 1_000_000]), ("b", shifts)):
+        for name, sig in (("a", sig_a), ("b", sig_b)):
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(
-                {"laurent_blocks": [{"size": 2, "period": 3_000_000, "shifts": sh}]}))
+            path.write_text(json.dumps(sig))
             paths.append(str(path))
         out = io.StringIO()
         start = time.perf_counter()

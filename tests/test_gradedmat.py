@@ -30,6 +30,11 @@ def M(kind, size, shifts, period=None, base=QQ):
     return GradedMatrixAlgebra(kind, size, tuple(shifts), period=period, base=base)
 
 
+def one_block(alg):
+    """The direct sum of the single block ``alg``, where its elements live."""
+    return DirectSum((alg,), alg.base)
+
+
 class TestComponentDim:
     def test_trivial_shifts_zero_component_is_everything(self):
         assert component_dim(M("field", 2, (0, 0)), 0) == 4
@@ -55,12 +60,13 @@ class TestComponentDim:
         # independent recount: a unit t^k survives projection to exactly the
         # degree the component rule assigns it
         a = M("laurent", 2, (0, 2), period=2)
+        s = one_block(a)
         for delta in range(-4, 5):
             count = 0
             for i in range(2):
                 for j in range(2):
                     for k in range(-4, 5):
-                        unit = a.unit(i, j, k)
+                        unit = s.unit(0, i, j, k)
                         if unit.degree_components().get(delta) is not None:
                             count += 1
             # each (i, j) pair contributes at most one exponent k per degree
@@ -69,36 +75,37 @@ class TestComponentDim:
 
 class TestMatrixOps:
     def test_matrix_units_multiply(self):
-        a = M("field", 2, (0, 1))
-        assert (a.unit(0, 1) * a.unit(1, 0) - a.unit(0, 0)).is_zero()
-        assert (a.unit(0, 1) * a.unit(0, 1)).is_zero()
+        a = one_block(M("field", 2, (0, 1)))
+        assert (a.unit(0, 0, 1) * a.unit(0, 1, 0) - a.unit(0, 0, 0)).is_zero()
+        assert (a.unit(0, 0, 1) * a.unit(0, 0, 1)).is_zero()
 
     def test_star_transpose(self):
-        a = M("field", 2, (0, 1))
-        assert (a.unit(0, 1).star() - a.unit(1, 0)).is_zero()
+        a = one_block(M("field", 2, (0, 1)))
+        assert (a.unit(0, 0, 1).star() - a.unit(0, 1, 0)).is_zero()
 
     def test_laurent_star_flips_exponent(self):
-        a = M("laurent", 1, (0,), period=1)
-        assert (a.unit(0, 0, 1).star() - a.unit(0, 0, -1)).is_zero()
+        a = one_block(M("laurent", 1, (0,), period=1))
+        assert (a.unit(0, 0, 0, 1).star() - a.unit(0, 0, 0, -1)).is_zero()
 
     def test_identity_projects_to_degree_zero(self):
-        a = M("field", 2, (0, 1))
-        assert a.identity().degree_components().get(0) == a.identity()
+        a = one_block(M("field", 2, (0, 1)))
+        identity = a.unit(0, 0, 0) + a.unit(0, 1, 1)
+        assert identity.degree_components().get(0) == identity
 
     def test_unit_degrees(self):
-        a = M("field", 2, (0, 1))
-        assert set(a.unit(1, 0).degree_components()) == {1}
-        b = M("laurent", 2, (0, 1), period=2)
-        assert set(b.unit(0, 1, 1).degree_components()) == {1}
+        a = one_block(M("field", 2, (0, 1)))
+        assert set(a.unit(0, 1, 0).degree_components()) == {1}
+        b = one_block(M("laurent", 2, (0, 1), period=2))
+        assert set(b.unit(0, 0, 1, 1).degree_components()) == {1}
 
     def test_mismatch_rejected(self):
-        a, b = M("field", 2, (0, 1)), M("field", 2, (0, 0))
+        a, b = one_block(M("field", 2, (0, 1))), one_block(M("field", 2, (0, 0)))
         with pytest.raises(AlgebraMismatch):
-            a.unit(0, 0) * b.unit(0, 0)
+            a.unit(0, 0, 0) * b.unit(0, 0, 0)
 
     def test_star_maps_components_to_negated(self):
-        a = M("laurent", 2, (0, 1), period=2)
-        x = a.unit(0, 1, 1) + a.unit(1, 1, -1)
+        a = one_block(M("laurent", 2, (0, 1), period=2))
+        x = a.unit(0, 0, 1, 1) + a.unit(0, 1, 1, -1)
         comps = x.degree_components()
         starred = x.star().degree_components()
         assert set(starred) == {-d for d in comps}
@@ -125,8 +132,9 @@ class TestMatrixOps:
 
     def test_direct_sum_mismatch_rejected(self):
         s = DirectSum((M("field", 1, (0,)),))
+        twice = DirectSum((M("field", 1, (0,)), M("field", 1, (0,))))
         with pytest.raises(AlgebraMismatch):
-            s.unit(0, 0, 0) * M("field", 1, (0,)).unit(0, 0)
+            s.unit(0, 0, 0) * twice.unit(0, 0, 0)
         with pytest.raises(FieldMismatch):
             DirectSum((M("field", 1, (0,), base=GF2),))
 
@@ -267,9 +275,10 @@ def _unit_products_oracle(a, b, match):
     the star and degree identities."""
     n = a.size
     perm, c = match.permutation, match.tpowers
+    sum_b = one_block(b)
 
     def image(i, j, k=0):
-        return b.unit(perm[i], perm[j], k + c[i] - c[j])
+        return sum_b.unit(0, perm[i], perm[j], k + c[i] - c[j])
 
     exps = (0,) if a.kind == "field" else (-1, 0, 1)
     for i in range(n):
@@ -284,7 +293,7 @@ def _unit_products_oracle(a, b, match):
             for k in range(n):
                 for l in range(n):
                     got = image(i, j) * image(k, l)
-                    want = image(i, l) if j == k else b.zero()
+                    want = image(i, l) if j == k else sum_b.zero()
                     if not (got - want).is_zero():
                         return False
     return True
@@ -335,6 +344,40 @@ class TestBlockMatchProof:
                 assert not _unit_products_oracle(a, b, bad)
                 assert not _verify_block_match(a, b, bad)
 
+    def test_field_match_with_t_powers_rejected(self):
+        a = M("field", 2, (0, 1))
+        assert not _verify_block_match(a, a, BlockMatch((0, 1), 0, (1, 0)))
+
+    def test_raised_t_powers_need_a_new_translation(self):
+        # the unit products see only the differences c_i - c_j, but a
+        # translation d with a_i + d = b_p(i) + c_i * period must hold at every i
+        a = M("laurent", 2, (0, 1), period=2)
+        b = M("laurent", 2, (1, 2), period=2)
+        good = _match_block(a, b)
+        raised = BlockMatch(good.permutation, good.translation,
+                            tuple(c + 1 for c in good.tpowers))
+        assert _verify_block_match(a, b, good)
+        assert not _verify_block_match(a, b, raised)
+        moved = BlockMatch(raised.permutation, good.translation + 2, raised.tpowers)
+        assert _verify_block_match(a, b, moved)
+
+    def test_every_accepted_match_passes_unit_products(self):
+        # blocks of size <= 2: every permutation, every translation in -3..3,
+        # and t-powers in {-1, 0, 1} (field blocks: none, and one stray t)
+        accepted = 0
+        for a, b in _block_pairs():
+            if a.size > 2:
+                continue
+            tps = ([(0,) * a.size, (1,) + (0,) * (a.size - 1)] if a.kind == "field"
+                   else itertools.product((-1, 0, 1), repeat=a.size))
+            for perm, d, tp in itertools.product(itertools.permutations(range(a.size)),
+                                                 range(-3, 4), tps):
+                m = BlockMatch(perm, d, tuple(tp))
+                if _verify_block_match(a, b, m):
+                    assert _unit_products_oracle(a, b, m), (a, b, m)
+                    accepted += 1
+        assert accepted > 100
+
     def test_wrong_permutation_rejected(self):
         a = M("field", 3, (0, 1, 2))
         b = M("field", 3, (4, 5, 6))
@@ -365,9 +408,10 @@ def unit_combinations(draw):
 
 
 def _sparse(alg, combo):
-    x = alg.zero()
+    s = one_block(alg)
+    x = s.zero()
     for i, j, k, c in combo:
-        x = x + alg.unit(i, j, k).scale(alg.base.from_int(c))
+        x = x + s.unit(0, i, j, k).scale(alg.base.from_int(c))
     return x
 
 
@@ -386,7 +430,7 @@ def _as_dense(x):
     """The dense form of a sparse element, after checking its invariants."""
     assert all(x.terms.values()), "a zero coefficient is stored"
     assert all(b == 0 for b, _, _, _ in x.terms), "a unit outside the one block"
-    return _dense(x.algebra, [(i, j, k, a) for (_, i, j, k), a in x.terms.items()])
+    return _dense(x.algebra.summands[0], [(i, j, k, a) for (_, i, j, k), a in x.terms.items()])
 
 
 def _dense_mul(a, b):
@@ -427,7 +471,7 @@ def test_sparse_arithmetic_matches_dense_reference(case):
     want = _dense_components(alg, dx)
     assert list(comps) == sorted(want)
     for delta, part in comps.items():
-        assert part.algebra == alg
+        assert part.algebra == one_block(alg)
         assert _as_dense(part) == want[delta]
     assert x.is_zero() == all(e.is_zero() for row in dx for e in row)
     for i in range(alg.size):

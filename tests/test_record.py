@@ -18,7 +18,7 @@ from clpa import expr
 from clpa._record import FrozenRecordError, Record
 from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative_generator_images
 from clpa.classify import blocks_of, build_generator_map, classify_system
-from clpa.gradedmat import GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
+from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
 from clpa.graphs import Path, find_cycles, relative_graph
 from clpa.monoid import MonoidElement, atomic_cancellative_verdict, equal, presentation
 from clpa.reports import relgraph_verify, report
@@ -32,6 +32,16 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(clpa.__file__)))
 def test_cli_import_skips_dataclasses_and_inspect():
     code = ("import sys, clpa.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_stdlib_and_clpa():
+    code = ("import sys; before = set(sys.modules); import clpa, clpa.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] not in sys.stdlib_module_names | {'clpa'}))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -97,7 +107,7 @@ def _corpus_records():
         equal(pres, pres.element(*pres.generators[:1]), pres.element(*pres.generators[:1])),
         atomic_cancellative_verdict(rose), atomic_cancellative_verdict(loop),
         expr._tokenize("v + 2 * c|c"),
-        GradedMatrixAlgebra("laurent", 1, (0,), 1).unit(0, 0, 1).entry(0, 0),
+        DirectSum((GradedMatrixAlgebra("laurent", 1, (0,), 1),)).unit(0, 0, 0, 1).entry(0, 0),
     ]
     return _records_in(*roots)
 
