@@ -28,7 +28,7 @@ for lhs, rhs in pres.relations:
     print(f"relation: {lhs} = {rhs}")
 
 a, b = pres.element("v"), pres.element("u1", "u2")
-print(f"is [v] = [u1] + [u2]?  {equal(pres, a, b, depth=1).verdict}")
+print(f"is [v] = [u1] + [u2]?  {equal(pres, a, b).verdict}")
 print(f"is [u1] = [u2]?        {equal(pres, pres.element('u1'), pres.element('u2')).verdict}")
 
 inv = path_count_invariant(pres)

@@ -3,7 +3,9 @@
 The monoid is computed through the relative graph: its generators are the
 relative graph's vertices and each regular vertex contributes the relation
 v = sum of the ranges of its edges (the relative graph imposes the full
-relation at every regular vertex, which is why one schema suffices).
+relation at every regular vertex, which is why one schema suffices).  Its
+word problem is decided exactly: a separating additive functional, the
+path-count invariant, or the normal forms of the completed relations.
 
 Atomicity plus cancellativity holds exactly when the relative graph is
 no-exit, in which case the monoid is free commutative of rank
@@ -16,7 +18,11 @@ at the algebra level, never assumed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import combinations
+from operator import ge
 from typing import Optional
 
 from ._linalg import nullspace_basis
@@ -25,8 +31,6 @@ from .algebra import AlgebraContext, is_idempotent
 from .classify import blocks_of
 from .errors import ClassificationBug, NotAnExit, NotNoExitObject
 from .graphs import CLObject, Cycle, RelativeGraph, predicates, relative_graph
-from fractions import Fraction
-
 from .scalars import QQ, Field
 
 
@@ -54,20 +58,8 @@ class MonoidElement(Record):
             out[g] = out.get(g, 0) + m
         return MonoidElement(tuple(out.items()))
 
-    def contains(self, other: "MonoidElement") -> bool:
-        mine = dict(self.counts)
-        return all(mine.get(g, 0) >= m for g, m in other.counts)
-
-    def remove(self, other: "MonoidElement") -> "MonoidElement":
-        out = dict(self.counts)
-        for g, m in other.counts:
-            out[g] = out[g] - m
-        return MonoidElement(tuple(out.items()))
-
     def __str__(self):
-        if not self.counts:
-            return "0"
-        return " + ".join(g if m == 1 else f"{m}{g}" for g, m in self.counts)
+        return " + ".join(g if m == 1 else f"{m}{g}" for g, m in self.counts) or "0"
 
 
 class Presentation(Record):
@@ -79,42 +71,44 @@ class Presentation(Record):
     relations: tuple        # (vertex, MonoidElement rhs) per regular relative vertex
 
     def element(self, *generators: str) -> MonoidElement:
-        unknown = set(generators) - set(self.generators)
-        if unknown:
-            raise ValueError(f"unknown generators: {sorted(unknown)}")
-        return MonoidElement.of(*generators)
+        x = MonoidElement.of(*generators)
+        self._exponents(x)  # rejects names that are not generators
+        return x
+
+    def _exponents(self, x: MonoidElement) -> tuple:
+        counts = dict(x.counts)
+        extra = counts.keys() - set(self.generators)
+        if extra:
+            raise ValueError(f"unknown generators: {sorted(extra)}")
+        return tuple(counts.get(g, 0) for g in self.generators)
+
+    def _relation_vectors(self) -> list:
+        return [(self._exponents(MonoidElement.of(v)), self._exponents(rhs)) for v, rhs in self.relations]
+
+    @cached_property
+    def rewriting(self) -> tuple:
+        """The relations completed to a confluent rewriting system (see ``_complete``)."""
+        return _complete(self._relation_vectors())
+
+    def normal_form(self, x: MonoidElement) -> MonoidElement:
+        """The normal form of x: equal elements, and only they, share it."""
+        return MonoidElement(tuple(zip(self.generators, _reduce(self.rewriting, self._exponents(x), {}))))
 
     @cached_property
     def functionals(self) -> list:
         """A basis of additive functionals (over Q) constant on every relation."""
-        gens = self.generators
-        index = {g: i for i, g in enumerate(gens)}
-        rows = []
-        for v, rhs in self.relations:
-            row = [Fraction(0)] * len(gens)
-            row[index[v]] += 1
-            for g, m in rhs.counts:
-                row[index[g]] -= m
-            rows.append(row)
-        return nullspace_basis(rows, QQ) if rows else [
-            [Fraction(1) if j == i else Fraction(0) for j in range(len(gens))]
-            for i in range(len(gens))
-        ]
+        rows = [[Fraction(p - q) for p, q in zip(*pair)] for pair in self._relation_vectors()]
+        return nullspace_basis(rows or [[Fraction(0)] * len(self.generators)], QQ)
 
-    @cached_property
-    def invariant(self) -> Optional[dict]:
-        """The path-count invariant, or None when the relative graph has an exit."""
-        return path_count_invariant(self)
+    invariant = cached_property(lambda self: path_count_invariant(self))  # None: the relative graph has an exit
 
 
 def presentation(obj: CLObject) -> Presentation:
     rel = relative_graph(obj)
     g = rel.graph
-    relations = []
-    for v in g.regular_vertices():
-        rhs = MonoidElement.of(*[g.rng(e) for e in g.out_edges(v)])
-        relations.append((v, rhs))
-    return Presentation(obj, rel, tuple(sorted(g.vertices)), tuple(relations))
+    relations = tuple((v, MonoidElement.of(*[g.rng(e) for e in g.out_edges(v)]))
+                      for v in g.regular_vertices())
+    return Presentation(obj, rel, tuple(sorted(g.vertices)), relations)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -132,60 +126,36 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
         blocks = blocks_of(leavitt)
     except NotNoExitObject:
         return None
-    g = leavitt.graph
-    return {
-        v: tuple(sum(1 for q in b.paths if q.source == v) for b in blocks)
-        for v in sorted(g.vertices)
-    }
+    return {v: tuple(sum(1 for q in b.paths if q.source == v) for b in blocks)
+            for v in sorted(leavitt.graph.vertices)}
 
 
 def invariant_value(invariant: dict, x: MonoidElement) -> tuple:
     size = len(next(iter(invariant.values()))) if invariant else 0
-    total = [0] * size
-    for g, m in x.counts:
-        for i, c in enumerate(invariant[g]):
-            total[i] += m * c
-    return tuple(total)
+    return tuple(sum(m * invariant[g][i] for g, m in x.counts) for i in range(size))
 
 
 def relations_preserved(pres: Presentation, invariant: dict) -> list:
     """The relations violated by the invariant (empty list = well-defined)."""
-    bad = []
-    for v, rhs in pres.relations:
-        lhs_vec = invariant_value(invariant, MonoidElement.of(v))
-        rhs_vec = invariant_value(invariant, rhs)
-        if lhs_vec != rhs_vec:
-            bad.append((v, rhs, lhs_vec, rhs_vec))
-    return bad
+    values = [(v, rhs, invariant_value(invariant, MonoidElement.of(v)), invariant_value(invariant, rhs))
+              for v, rhs in pres.relations]
+    return [bad for bad in values if bad[2] != bad[3]]
 
 
 class EqualityAnswer(Record):
-    verdict: str                      # "yes" | "no" | "unknown"
+    verdict: str                      # "yes" | "no": the word problem is decided
     common_reduct: Optional[MonoidElement] = None
     separating_functional: Optional[tuple] = None
 
 
-def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
-          depth: int = 8, max_states: int = 20000) -> EqualityAnswer:
-    """Word-problem check: exact on a no-exit relative graph, tri-valued otherwise.
+def equal(pres: Presentation, a: MonoidElement, b: MonoidElement) -> EqualityAnswer:
+    """Decide [a] = [b] in the monoid presented by ``pres``: "yes" or "no".
 
-    No: some additive functional invariant under every relation separates
-    a from b.  Yes, when the relative graph is no-exit: the path-count
-    invariant is an isomorphism onto N^r and the functionals span its
-    coordinates, so no separating functional means equal.  Yes, otherwise:
-    bidirectional application of the relations meets within ``depth``.
-    Everything else: unknown (no decision procedure is claimed).
+    In order: a separating additive functional (the certificate of a "no"),
+    the path-count invariant on a no-exit relative graph (the functionals span
+    it), then the normal forms of the completed relations (a common reduct).
     """
-    if a == b:
-        return EqualityAnswer("yes", common_reduct=a)
-
-    index = {g: i for i, g in enumerate(pres.generators)}
-    diff: dict = {}
-    for x, sign in ((a, 1), (b, -1)):
-        for g, m in x.counts:
-            i = index[g]
-            diff[i] = diff.get(i, 0) + sign * m
-    support = [(i, d) for i, d in diff.items() if d]
+    support = [(i, x - y) for i, (x, y) in enumerate(zip(pres._exponents(a), pres._exponents(b))) if x != y]
     for functional in pres.functionals:
         if sum(functional[i] * d for i, d in support):
             return EqualityAnswer("no", separating_functional=tuple(functional))
@@ -193,45 +163,85 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement,
     invariant = pres.invariant
     if invariant is not None:
         if invariant_value(invariant, a) != invariant_value(invariant, b):
-            raise ClassificationBug(
-                f"no functional separates {a} from {b}, but the invariant does"
-            )
+            raise ClassificationBug(f"no functional separates {a} from {b}, but the invariant does")
         return EqualityAnswer("yes")
 
-    moves = [(v, rhs) for v, rhs in pres.relations if MonoidElement.of(v) != rhs]
+    reduct = pres.normal_form(a)
+    return EqualityAnswer("yes", common_reduct=reduct) if reduct == pres.normal_form(b) \
+        else EqualityAnswer("no")
 
-    def neighbours(x: MonoidElement):
-        for v, rhs in moves:
-            single = MonoidElement.of(v)
-            if x.contains(single):
-                yield x.remove(single) + rhs
-            if x.contains(rhs):
-                yield x.remove(rhs) + single
 
-    seen_a, seen_b = {a}, {b}
-    frontier_a, frontier_b = {a}, {b}
-    for _ in range(depth):
-        if seen_a & seen_b:
-            break
-        grow_a = len(seen_a) <= len(seen_b)
-        frontier = frontier_a if grow_a else frontier_b
-        seen = seen_a if grow_a else seen_b
-        new = set()
-        for x in frontier:
-            for y in neighbours(x):
-                if y not in seen:
-                    new.add(y)
-        seen |= new
-        if grow_a:
-            frontier_a = new
-        else:
-            frontier_b = new
-        if len(seen_a) + len(seen_b) > max_states or not new:
-            break
-    meet = seen_a & seen_b
-    if meet:
-        return EqualityAnswer("yes", common_reduct=sorted(meet, key=str)[0])
-    return EqualityAnswer("unknown")
+# -- completion of the relations -------------------------------------------------
+# Elements are exponent vectors over ``Presentation.generators``.  A rule is (lhs,
+# rhs, support bitmask of lhs), lhs above rhs in the graded order: total
+# multiplicity first, then the vectors compared in generator order.
+
+
+def _mask(x: tuple) -> int:
+    return sum(1 << i for i, m in enumerate(x) if m)
+
+
+def _reduce(rules, x: tuple, memo: dict) -> tuple:
+    """The normal form of x; ``memo`` records it for every element on the way."""
+    path = []
+    while x not in memo:
+        path.append(x)
+        mask = _mask(x)
+        x = next((tuple(p - q + r for p, q, r in zip(x, lhs, rhs)) for lhs, rhs, lmask in rules
+                  if not lmask & ~mask and all(map(ge, x, lhs))), x)
+        if x is path[-1]:  # no rule applies: x is normal
+            memo[x] = x
+    memo.update(dict.fromkeys(path, memo[x]))
+    return memo[x]
+
+
+def _overlap(one, two) -> tuple:  # the two one-step rewrites of the lcm of the lhs
+    lcm = tuple(map(max, one[0], two[0]))
+    return tuple(tuple(p - q + r for p, q, r in zip(lcm, lhs, rhs)) for lhs, rhs, _ in (one, two))
+
+
+def _complete(relations: list) -> tuple:
+    """Complete relations (pairs of exponent vectors) to a confluent rule system.
+
+    Overlaps at lcms of left-hand sides join smallest first, skipping coprime
+    pairs (their rules commute) and, by Buchberger's chain criterion, pairs
+    whose lcm a third lhs divides once its pairs with both are done.  A rule
+    whose lhs a newer one divides retires but keeps its queued pairs.  It ends
+    by Dickson's lemma (Ballantyne-Lankford, Comput. Math. Appl. 7, 1981);
+    the result is proved by joining every relation and every critical pair.
+    """
+    rules, active, pending, queue = {}, {}, set(), []
+
+    def settle(a: tuple, b: tuple):
+        rhs, lhs = sorted((_reduce(active.values(), x, {}) for x in (a, b)), key=lambda x: (sum(x), x))
+        if lhs == rhs:
+            return
+        new, mask = len(rules), _mask(lhs)
+        for i, (l, _, m) in list(active.items()):
+            if not mask & ~m and all(map(ge, l, lhs)):
+                del active[i]
+        for i, (l, _, m) in rules.items():
+            if m & mask:
+                lcm = tuple(map(max, l, lhs))
+                heappush(queue, (sum(lcm), lcm, i, new))
+                pending.add((i, new))
+        active[new] = rules[new] = (lhs, rhs, mask)
+
+    for a, b in relations:
+        settle(a, b)
+    while queue:
+        _, lcm, i, j = heappop(queue)
+        pending.discard((i, j))
+        mask = rules[i][2] | rules[j][2]
+        if not any(k not in (i, j) and not m & ~mask and all(map(ge, lcm, l))
+                   and not {(min(i, k), max(i, k)), (min(j, k), max(j, k))} & pending
+                   for k, (l, _, m) in rules.items()):
+            settle(*_overlap(rules[i], rules[j]))
+    system, memo = tuple(active.values()), {}
+    for a, b in relations + [_overlap(p, q) for p, q in combinations(system, 2) if p[2] & q[2]]:
+        if _reduce(system, a, memo) != _reduce(system, b, memo):
+            raise ClassificationBug(f"completion is not confluent: {a} and {b} do not join")
+    return system
 
 
 # -- verdicts and witnesses ------------------------------------------------------
@@ -262,10 +272,9 @@ def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ)
     ``projections[n-1]`` is p_n for n = 1..count.
     """
     g = obj.graph
-    exits = sorted(v for v in cycle.vertex_set(g) if len(g.out_edges(v)) >= 2)
-    if not exits:
+    v = min((u for u in cycle.vertex_set(g) if len(g.out_edges(u)) >= 2), default=None)
+    if v is None:
         raise NotAnExit(f"cycle {cycle} has no exit")
-    v = exits[0]
     k = [g.src(e) for e in cycle.edges].index(v)
     based = Cycle(cycle.edges[k:] + cycle.edges[:k])
     ctx = AlgebraContext(obj, field)
@@ -281,7 +290,6 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
                          field: Field = QQ) -> CancellationWitness:
     """Verify the cancellation-failure chain along a cycle with an exit."""
     v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
-    vert = powers[0]
     statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         p, p_next = ps[n - 1], ps[n]
@@ -289,16 +297,14 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
             f"p_{n} idempotent": is_idempotent(p),
             f"p_{n} p_{n+1} = p_{n+1}": p * p_next == p_next,
             f"p_{n} != p_{n+1}": p != p_next,
-            f"(c^{n})* c^{n} = {v}": powers[n].star() * powers[n] == vert,
+            f"(c^{n})* c^{n} = {v}": powers[n].star() * powers[n] == powers[0],
         }
         for label, okay in checks.items():
             if not okay:
                 raise ClassificationBug(f"cancellation witness check failed: {label}")
             statements.append(f"checked {label}")
-        statements.append(
-            f"[{v}] = [p_{n}] = [p_{n+1}] + [p_{n} - p_{n+1}] gives "
-            f"[{v}] = [{v}] + [p_{n} - p_{n+1}] with p_{n} - p_{n+1} != 0"
-        )
+        statements.append(f"[{v}] = [p_{n}] = [p_{n+1}] + [p_{n} - p_{n+1}] gives "
+                          f"[{v}] = [{v}] + [p_{n} - p_{n+1}] with p_{n} - p_{n+1} != 0")
     return CancellationWitness(v, based, ps[:n_max], tuple(statements))
 
 
@@ -324,15 +330,9 @@ def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
         if bad:
             raise ClassificationBug(f"invariant violates relations: {bad}")
         rank = len(next(iter(invariant.values()))) if invariant else 0
-        return MonoidVerdict(
-            True, invariant, rank, None,
-            "relative graph is no-exit: the monoid is free commutative on "
-            f"{rank} generators (one per sink and per cycle)",
-        )
+        return MonoidVerdict(True, invariant, rank, None, "relative graph is no-exit: the monoid is "
+                             f"free commutative on {rank} generators (one per sink and per cycle)")
     leavitt = pres.rel.leavitt_object()
-    bad_cycle = predicates(leavitt.graph).exit_cycles[0]
-    witness = cancellation_witness(leavitt, bad_cycle)
-    return MonoidVerdict(
-        False, None, None, witness,
-        "relative graph has a cycle with an exit: cancellation fails",
-    )
+    witness = cancellation_witness(leavitt, predicates(leavitt.graph).exit_cycles[0])
+    return MonoidVerdict(False, None, None, witness,
+                         "relative graph has a cycle with an exit: cancellation fails")

@@ -1,13 +1,14 @@
-"""Monoid presentations, the word-problem search, verdicts, and witnesses."""
+"""Monoid presentations, the word problem and its completion, verdicts, and witnesses."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clpa.errors import NotAnExit
-from clpa.graphs import predicates
+from clpa.graphs import CLObject, Graph, predicates
 from clpa.monoid import (
     MonoidElement,
     atomic_cancellative_verdict,
@@ -25,10 +26,13 @@ from conftest import (
     cycle_with_exit,
     fan,
     loop,
+    loop_with_exit,
     random_no_exit_object,
+    random_object,
     rose,
     single_sink,
 )
+from oracles import completion_confluent, move_search
 
 
 class TestPresentation:
@@ -61,7 +65,7 @@ class TestPresentation:
 class TestEqual:
     def test_one_step_relation(self):
         pres = presentation(fan(2, s_on=True))
-        answer = equal(pres, pres.element("v"), pres.element("u1", "u2"), depth=1)
+        answer = equal(pres, pres.element("v"), pres.element("u1", "u2"))
         assert answer.verdict == "yes"
 
     def test_distinct_sinks_separated(self):
@@ -70,14 +74,29 @@ class TestEqual:
         assert answer.verdict == "no"
         assert answer.separating_functional is not None
 
-    def test_bounded_search_admits_unknown(self):
-        # the toeplitz relation v = v + v' makes v and v + 3v' equal only at
-        # depth 3; at depth 1 the search must honestly give up
+    def test_toeplitz_absorbs_primed_copies(self):
+        # the toeplitz relation v = v + v' makes v and v + 3v' equal; a search
+        # needs three moves to see it, the completed relations none
         pres = presentation(loop(False))
         v = pres.element("v")
-        target = v + pres.element("v'", "v'", "v'")
-        assert equal(pres, v, target, depth=1).verdict == "unknown"
-        assert equal(pres, v, target, depth=4).verdict == "yes"
+        answer = equal(pres, v, v + pres.element("v'", "v'", "v'"))
+        assert answer.verdict == "yes" and answer.common_reduct == v
+
+    @pytest.mark.parametrize("make, gen", [(loop_with_exit, "w"), (lambda: loop(False), "v'")],
+                             ids=["loop_with_exit", "toeplitz"])
+    def test_no_functional_still_decides_no(self, make, gen):
+        # w = 2w on the loop with an exit and v' = 2v' on the toeplitz loop:
+        # no additive functional separates the sides, and they are not equal
+        pres = presentation(make())
+        answer = equal(pres, pres.element(gen), pres.element(gen, gen))
+        assert answer.verdict == "no" and answer.separating_functional is None
+
+    def test_unknown_generator_rejected(self):
+        pres = presentation(loop_with_exit())
+        with pytest.raises(ValueError, match="unknown generators"):
+            equal(pres, MonoidElement.of("zzz"), pres.element("w"))
+        with pytest.raises(ValueError, match="unknown generators"):
+            pres.normal_form(MonoidElement.of("zzz"))
 
     def test_tree_root_against_its_leaves(self):
         # 31 vertices: the root equals the sum of its 16 leaves, which no
@@ -86,7 +105,7 @@ class TestEqual:
         pres = presentation(obj)
         assert len(leaves) == 16
         all_leaves = pres.element(*leaves)
-        assert equal(pres, pres.element(root), all_leaves, depth=0).verdict == "yes"
+        assert equal(pres, pres.element(root), all_leaves).verdict == "yes"
         short = equal(pres, pres.element(root), pres.element(*leaves[1:]))
         assert short.verdict == "no" and short.separating_functional is not None
         children = pres.element(root + "0", root + "1")
@@ -110,9 +129,63 @@ def test_equal_decides_on_no_exit_objects(seed, data):
     for _ in range(5):
         a, b = data.draw(elements), data.draw(elements)
         answer = equal(pres, a, b)
-        assert answer.verdict != "unknown"
+        assert answer.verdict in ("yes", "no")
         same = invariant_value(inv, a) == invariant_value(inv, b)
         assert (answer.verdict == "yes") == same
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_equal_agrees_with_move_search(seed, data):
+    # exits allowed: a meet found by the bounded search forces "yes", and
+    # every "yes" is a shared normal form of the completed relations
+    pres = presentation(random_object(random.Random(seed)))
+    elements = st.lists(st.sampled_from(pres.generators), max_size=4).map(
+        lambda gens: MonoidElement.of(*gens)
+    )
+    for _ in range(5):
+        a, b = data.draw(elements), data.draw(elements)
+        answer = equal(pres, a, b)
+        if move_search(pres, a, b) is not None:
+            assert answer.verdict == "yes"
+        if answer.verdict == "yes":
+            reduct = pres.normal_form(a)
+            assert reduct == pres.normal_form(b)
+            # the invariant answers a no-exit relative graph without a reduct
+            assert answer.common_reduct == (reduct if pres.invariant is None else None)
+        else:
+            assert answer.verdict == "no"
+
+
+def _random_graphs(count: int) -> list:
+    # random graphs on 4 to 12 vertices with up to twice as many edges; of
+    # the first 150, numbers 44 and 106 need the most rules
+    rng, out = random.Random(1), []
+    for _ in range(count):
+        nv = rng.randint(4, 12)
+        vs = [f"v{j}" for j in range(nv)]
+        edges = [(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(rng.randint(nv, 2 * nv))]
+        g = Graph(vs, edges)
+        out.append(CLObject(g, [v for v in g.regular_vertices() if rng.random() < 0.6]))
+    return out
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("k, gens", [(44, 17), (106, 19)])
+    def test_hard_instance_completes(self, k, gens):
+        # the completion proves its own result: a relation or an overlap
+        # that fails to join raises ClassificationBug
+        pres = presentation(_random_graphs(k + 1)[k])
+        assert len(pres.generators) == gens
+        start = time.perf_counter()
+        pres.rewriting
+        assert time.perf_counter() - start < 5
+
+    def test_completion_confluent_by_oracle(self):
+        # re-proves, outside the program, what the completion proves itself
+        rng = random.Random(7)
+        for obj in _random_graphs(20) + [random_object(rng) for _ in range(40)]:
+            assert completion_confluent(presentation(obj).rewriting)
 
 
 class TestInvariant:
@@ -149,7 +222,7 @@ class TestInvariant:
             for _ in range(10):
                 a = MonoidElement.of(*rng.choices(gens, k=rng.randint(0, 3)))
                 b = MonoidElement.of(*rng.choices(gens, k=rng.randint(0, 3)))
-                answer = equal(pres, a, b, depth=6)
+                answer = equal(pres, a, b)
                 same_inv = invariant_value(inv, a) == invariant_value(inv, b)
                 if answer.verdict == "yes":
                     assert same_inv
