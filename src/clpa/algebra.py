@@ -16,12 +16,16 @@ when one of q, r is a proper prefix of the other the product ends exactly
 as r s* or as p q* does.  Only those critical q = r products, p s*, go
 through the rewriting loop.
 
-The special edge of each S-vertex is the lexicographically smallest edge it
-emits; the choice is recorded in the context so normal forms are
-reproducible.  That irreducible monomials are linearly independent is
-cited, not proved here (Alahmadi-Alsulami-Jain-Zelmanov, J. Algebra Appl.
-2012); the generator maps of :mod:`clpa.classify` are proved isomorphisms
-without it.
+The special edge of an S-vertex may be chosen per context; by default it is
+the lexicographically smallest edge the vertex emits.  The choice is recorded
+in the context, so normal forms are reproducible and contexts with different
+choices are different (mixing their elements raises ``ContextMismatch``).
+:func:`clpa.monoid.exit_cycle_chain` picks an exit edge, which keeps its
+cycle projections single monomials.  That irreducible monomials are linearly
+independent, for any choice, is cited, not proved here
+(Alahmadi-Alsulami-Jain-Zelmanov, J. Algebra Appl. 2012; Abrams-Ara-Siles
+Molina, Leavitt Path Algebras, LNM 2191); the generator maps of
+:mod:`clpa.classify` are proved isomorphisms without it.
 
 All values are immutable and all operations pure.
 """
@@ -76,17 +80,31 @@ _set_mono_left, _set_mono_right = Monomial.left.__set__, Monomial.right.__set__
 
 
 class AlgebraContext(Record):
-    """A Cohn-Leavitt algebra: the object (E, S), the field, and the special edges."""
+    """A Cohn-Leavitt algebra: the object (E, S), the field, and the special edges.
+
+    ``special`` gives (vertex, edge) pairs that choose the special edge at
+    some S-vertices; every S-vertex not named gets its smallest edge.
+    ``special`` is then normalised to one pair per S-vertex, in vertex order.
+    """
 
     obj: CLObject
     field: Field = QQ
     special: tuple = ()
 
     def __post_init__(self):
-        chosen = tuple(
-            (v, min(self.obj.graph.out_edges(v))) for v in sorted(self.obj.s_set)
-        )
-        object.__setattr__(self, "special", chosen)
+        g, s_set = self.obj.graph, self.obj.s_set
+        chosen: dict = {}
+        for v, e in self.special:
+            if v not in s_set:
+                raise ValueError(f"special edge given at {v!r}, which is not in S")
+            if e not in g.out_edges(v):
+                raise ValueError(f"{v!r} does not emit the special edge {e!r}")
+            if v in chosen:
+                raise ValueError(f"special edge given twice at {v!r}")
+            chosen[v] = e
+        for v in s_set:
+            chosen.setdefault(v, min(g.out_edges(v)))
+        object.__setattr__(self, "special", tuple(sorted(chosen.items())))
 
     @property
     def graph(self) -> Graph:
@@ -205,6 +223,8 @@ def _term_key(term: tuple):
 
 def _element(ctx: AlgebraContext, out: dict) -> "AlgebraElement":
     """The element of a dict of normal monomials with nonzero coefficients."""
+    if len(out) < 2:
+        return AlgebraElement(ctx, tuple(out.items()))
     return AlgebraElement(ctx, tuple(sorted(out.items(), key=_term_key)))
 
 
@@ -228,6 +248,8 @@ class AlgebraElement(Record):
         return hash((self.ctx, self.terms))
 
     def _check(self, other: "AlgebraElement") -> None:
+        if other.__class__ is AlgebraElement and other.ctx is self.ctx:
+            return
         if not isinstance(other, AlgebraElement):
             raise TypeError(f"expected AlgebraElement, got {type(other).__name__}")
         if other.ctx != self.ctx:
@@ -278,7 +300,8 @@ class AlgebraElement(Record):
                         critical.append((Monomial(p, s), c1 * c2))
                     continue
                 _add_term(out, prod, c1 * c2)
-        self.ctx._rewrite_into(out, critical)
+        if critical:
+            self.ctx._rewrite_into(out, critical)
         return _element(self.ctx, out)
 
     def scale(self, a: Scalar) -> "AlgebraElement":

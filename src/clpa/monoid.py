@@ -270,6 +270,13 @@ def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ)
     Returns ``(v, based, powers, projections)``: ``based`` is the rebased
     cycle, ``powers[n]`` is c^n for n = 0..count (``powers[0]`` is v) and
     ``projections[n-1]`` is p_n for n = 1..count.
+
+    The elements live in a context whose special edge, at every S-vertex of
+    the cycle with an exit, is the smallest edge leaving the cycle (elsewhere
+    it is the default, the smallest edge).  Then c^n (c^n)* reduces to one
+    monomial, so every p_n is one term and v - p_n two.  With a cycle edge
+    special, p_n would rewrite to a sum that grows with n (2n + 1 terms on a
+    rose of two loops with an exit).
     """
     g = obj.graph
     v = min((u for u in cycle.vertex_set(g) if len(g.out_edges(u)) >= 2), default=None)
@@ -277,7 +284,10 @@ def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ)
         raise NotAnExit(f"cycle {cycle} has no exit")
     k = [g.src(e) for e in cycle.edges].index(v)
     based = Cycle(cycle.edges[k:] + cycle.edges[:k])
-    ctx = AlgebraContext(obj, field)
+    on_cycle = set(based.edges)
+    exits = {u: [e for e in g.out_edges(u) if e not in on_cycle]
+             for u in cycle.vertex_set(g) & obj.s_set}
+    ctx = AlgebraContext(obj, field, tuple((u, min(es)) for u, es in exits.items() if es))
     c = ctx.path_element(based.edges)
     powers = [ctx.vertex(v)]
     for _ in range(count):

@@ -48,6 +48,17 @@ class TestNormalForm:
         ctx = ctx_of(rose())
         assert ctx.special_edge("v") == "c1"
 
+    def test_chosen_special_edge(self):
+        # with e2 special, e2 e2* = v - e1 e1*; the two contexts do not mix
+        obj = fan(2, s_on=True)
+        ctx = AlgebraContext(obj, QQ, (("v", "e2"),))
+        assert ctx.special_edge("v") == "e2" and ctx != ctx_of(obj)
+        e1, e2 = (ctx.graph.make_path([e]) for e in ("e1", "e2"))
+        assert ctx.monomial(e1, e1).terms == ((Monomial(e1, e1), Fraction(1)),)
+        assert ctx.monomial(e2, e2) == ctx.vertex("v") - ctx.monomial(e1, e1)
+        with pytest.raises(ContextMismatch):
+            ctx.vertex("v") + ctx_of(obj).vertex("v")
+
     def test_rewrite_terminates_on_nested_tails(self):
         ctx = ctx_of(rose())
         c1 = ctx.graph.make_path(["c1", "c1"])

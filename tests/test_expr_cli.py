@@ -286,6 +286,19 @@ class TestCli:
         proc = run_cli(["witness", str(path), "--kind", "cancellation", "--n", "3"])
         assert proc.returncode == 0 and "p_3" in proc.stdout
 
+    @pytest.mark.parametrize("kind, last", [("noetherian", "g_500"), ("cancellation", "p_500")])
+    def test_witness_long_exit_cycle_chain(self, kind, last):
+        # the chain's special edge is an exit, so p_n stays one monomial and
+        # the time grows linearly in n (p_n had 2n + 1 terms with the loop c1)
+        rose = os.path.join(os.path.dirname(__file__), "golden", "inputs", "rose_with_exit.json")
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["witness", rose, "--kind", kind, "--n", "500", "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and last in json.loads(out.getvalue())["transcript"]
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
     def test_witness_artinian_missing_cycle_is_exit_2(self, chain_file):
         proc = run_cli(["witness", chain_file, "--kind", "artinian"])
         assert proc.returncode == 2

@@ -1,12 +1,13 @@
 """Hypothesis-driven structural invariants across randomly drawn objects."""
 
 import random
+from pathlib import Path as FilePath
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clpa._linalg import nullspace_basis
-from clpa.algebra import AlgebraContext, Monomial
+from clpa.algebra import AlgebraContext, Monomial, evaluate_element
 from clpa.classify import check_no_exit_object, classify
 from clpa.graphs import (
     CLObject,
@@ -15,12 +16,14 @@ from clpa.graphs import (
     complete,
     find_cycles,
     is_complete_subobject,
+    load_object,
     predicates,
     relative_graph,
 )
+from clpa.monoid import exit_cycle_chain
 from clpa.scalars import QQ, PrimeField
 
-from conftest import random_element
+from conftest import random_element, random_object
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 
@@ -140,6 +143,72 @@ def test_element_operations_equal_normal_form_of_raw_combination(obj, field, see
     for got, raw in cases:
         assert got == ctx.from_raw(raw)
         assert all(ctx.is_normal(m) for m, _ in got.terms)
+
+
+def _random_special(obj: CLObject, rng: random.Random) -> tuple:
+    g = obj.graph
+    return tuple((v, rng.choice(g.out_edges(v))) for v in sorted(obj.s_set))
+
+
+def _generator_images(ctx: AlgebraContext) -> dict:
+    g = ctx.graph
+    return {**{v: ctx.vertex(v) for v in g.vertices},
+            **{e: ctx.edge(e) for e in g.edge_ids()}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FIELDS), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_change_of_special_edges_is_a_star_isomorphism(field, seed):
+    # any choice of special edges gives a basis of the same algebra, so the
+    # generators of one context evaluated in the other form a *-isomorphism
+    rng = random.Random(seed)
+    obj = random_object(rng)
+    a = AlgebraContext(obj, field, _random_special(obj, rng))
+    b = AlgebraContext(obj, field, _random_special(obj, rng))
+    to_a, to_b = _generator_images(a), _generator_images(b)
+    x = random_element(a, rng, max_terms=6)
+    y = random_element(a, rng, max_terms=6)
+    fx, fy = evaluate_element(x, to_b), evaluate_element(y, to_b)
+    assert fx.ctx is b
+    assert evaluate_element(x + y, to_b) == fx + fy
+    assert evaluate_element(x * y, to_b) == fx * fy
+    assert evaluate_element(x.star(), to_b) == fx.star()
+    assert evaluate_element(fx, to_a) == x
+
+
+@st.composite
+def cycles_with_exits(draw):
+    """A cycle v1 -> ... -> vk -> v1 with exits to a sink w, and a random S.
+
+    Edge ids are shuffled, so an exit edge may sort before or after the
+    cycle edge at its vertex.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    exits = draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=k))
+    ids = draw(st.permutations([f"e{i}" for i in range(k + len(exits))]))
+    vs = [f"v{i}" for i in range(1, k + 1)]
+    edges = [(ids[i], vs[i], vs[(i + 1) % k]) for i in range(k)]
+    edges += [(ids[k + j], vs[i], "w") for j, i in enumerate(exits)]
+    return CLObject(Graph(vs + ["w"], edges), [v for v in vs if draw(st.booleans())])
+
+
+def _assert_chain_stays_small(obj: CLObject, count: int = 50):
+    _, _, powers, projections = exit_cycle_chain(obj, predicates(obj.graph).exit_cycles[0], count)
+    for p in projections:
+        assert len(p.terms) == 1
+        assert len((powers[0] - p).terms) <= 2
+
+
+def test_rose_with_exit_chain_is_one_monomial_per_step():
+    # its smallest edge is a loop; as the special edge it gave p_n 2n + 1 terms
+    golden = FilePath(__file__).parent / "golden" / "inputs" / "rose_with_exit.json"
+    _assert_chain_stays_small(load_object(str(golden)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=cycles_with_exits())
+def test_exit_cycle_chain_is_one_monomial_per_step(obj):
+    _assert_chain_stays_small(obj)
 
 
 def _dense_nullspace(rows, field) -> list:

@@ -188,6 +188,10 @@ def test_post_init_normalises():
     assert PFElement(7, 5) == PFElement(2, 5) and PFElement(-1, 5).value == 4
     poly = LaurentPoly(1, ((2, Fraction(3)), (0, Fraction(0))), QQ)
     assert poly.terms == ((2, Fraction(3)),)
-    ctx = AlgebraContext(NO_EXIT_CORPUS["fan2_leavitt"](), QQ, special=(("x", "y"),))
-    assert ctx.special == (("v", "e1"),)
+    fan = NO_EXIT_CORPUS["fan2_leavitt"]()
+    assert AlgebraContext(fan, QQ).special == (("v", "e1"),)
+    assert AlgebraContext(fan, QQ, special=(("v", "e2"),)).special == (("v", "e2"),)
+    for bad in ((("x", "y"),), (("v", "y"),), (("v", "e1"), ("v", "e2"))):
+        with pytest.raises(ValueError):
+            AlgebraContext(fan, QQ, special=bad)
     assert Monomial(Path("v"), Path("v")).star() == Monomial(Path("v"), Path("v"))
