@@ -1,4 +1,4 @@
-"""Demo and CLI output, byte for byte, against recorded golden files.
+"""Demo, CLI and DOT output, byte for byte, against recorded golden files.
 
 The files under ``tests/golden/`` were written by an earlier version of the
 program; a change that should keep every output must keep them.  To record
@@ -17,6 +17,8 @@ import sys
 import pytest
 
 from clpa.cli import main
+from clpa.graphs import load_object, subobject_system, system_to_dot
+from conftest import fan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -58,6 +60,10 @@ def _cli_cases():
 
 CLI_CASES = _cli_cases()
 
+# the DOT export of the subobject lattice, which no CLI golden above covers
+_DOT_OBJECTS = {name: (lambda f=f: load_object(str(INPUTS / f))) for name, f in _GRAPHS.items()}
+_DOT_OBJECTS["fan4"] = lambda: fan(4)
+
 
 def _run_cli(argv) -> str:
     """Exit code and stdout of ``clpa argv``, run in process."""
@@ -65,6 +71,10 @@ def _run_cli(argv) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _subobject_dot(name) -> str:
+    return system_to_dot(subobject_system(_DOT_OBJECTS[name]()))
 
 
 def _run_demo(demo, hash_seed: str) -> str:
@@ -81,6 +91,11 @@ def test_cli_output_matches_golden(name, argv):
     assert _run_cli(argv) == (GOLDEN / "cli" / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", list(_DOT_OBJECTS))
+def test_subobject_dot_matches_golden(name):
+    assert _subobject_dot(name) == (GOLDEN / "dot" / f"{name}.dot").read_text()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_output_matches_golden(demo):
     want = (GOLDEN / "demos" / f"{demo.stem}.out").read_text()
@@ -91,8 +106,11 @@ def test_demo_output_matches_golden(demo):
 def _write_all():
     (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
     (GOLDEN / "demos").mkdir(parents=True, exist_ok=True)
+    (GOLDEN / "dot").mkdir(parents=True, exist_ok=True)
     for name, argv in CLI_CASES:
         (GOLDEN / "cli" / f"{name}.out").write_text(_run_cli(argv))
+    for name in _DOT_OBJECTS:
+        (GOLDEN / "dot" / f"{name}.dot").write_text(_subobject_dot(name))
     for demo in DEMOS:
         (GOLDEN / "demos" / f"{demo.stem}.out").write_text(_run_demo(demo, HASH_SEEDS[0]))
 
