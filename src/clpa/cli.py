@@ -136,15 +136,15 @@ def cmd_complete(args) -> int:
         if args.json:
             _emit_json(
                 {
-                    "count": len(system.nodes),
+                    "count": len(system.masks),
                     "top": system.top_index,
-                    "nodes": [object_to_json(n) for n in system.nodes],
+                    "nodes": [object_to_json(system.node(i)) for i in range(len(system.masks))],
                 }
             )
         else:
-            print(f"{len(system.nodes)} complete subobjects (top = {system.top_index})")
-            for i, node in enumerate(system.nodes):
-                print(f"  [{i}] {json.dumps(object_to_json(node), sort_keys=True)}")
+            print(f"{len(system.masks)} complete subobjects (top = {system.top_index})")
+            for i in range(len(system.masks)):  # one node at a time: systems can be large
+                print(f"  [{i}] {json.dumps(object_to_json(system.node(i)), sort_keys=True)}")
         return 0
     if not args.sub:
         raise ClpaError("complete needs --sub SUB.json or --system")

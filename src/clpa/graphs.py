@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cached_property
 from typing import Iterable
 
 from ._record import Record
@@ -351,25 +352,19 @@ def is_complete_subobject(sub: CLObject, ambient: CLObject):
 
 
 def complete(sub_graph: Graph, ambient: CLObject) -> CLObject:
-    """Close a subgraph to the minimal complete subobject of the ambient object."""
-    E, S = ambient.graph, ambient.s_set
-    if not sub_graph.is_subgraph_of(E):
+    """Close a subgraph to the minimal complete subobject of the ambient object.
+
+    The closure is the least down-set of the poset of :class:`SubobjectSystem`
+    holding the subgraph: its vertices, and every upper element with an
+    edge in it together with that element's endpoints.
+    """
+    if not sub_graph.is_subgraph_of(ambient.graph):
         raise NotASubgraph("candidate is not a subgraph of the ambient graph")
-    vertices = set(sub_graph.vertices)
-    edge_ids = set(sub_graph.edge_ids())
-    changed = True
-    while changed:
-        changed = False
-        for v in S & vertices:
-            out = set(E.out_edges(v))
-            if edge_ids & out and not out <= edge_ids:
-                edge_ids |= out
-                vertices |= {E.rng(e) for e in out}
-                changed = True
-    edges = [(e, E.src(e), E.rng(e)) for e in sorted(edge_ids)]
-    F = Graph(vertices, edges)
-    T = frozenset(v for v in S if set(E.out_edges(v)) & edge_ids)
-    result = CLObject(F, T)
+    present = set(sub_graph.edges)
+    chosen = [(edges, t) for _, edges, t in _poset(ambient)[1] if present.intersection(edges)]
+    edges = [e for group, _ in chosen for e in group]
+    vertices = sub_graph.vertices | {v for _, src, rng in edges for v in (src, rng)}
+    result = CLObject(Graph(vertices, edges), [t for _, t in chosen if t is not None])
     ok, violations = is_complete_subobject(result, ambient)
     if not ok:  # pragma: no cover - closure is constructed to satisfy the check
         raise AssertionError(f"closure failed its own check: {violations}")
@@ -420,108 +415,109 @@ def relative_graph(obj: CLObject) -> RelativeGraph:
 
 
 class SubobjectSystem(Record):
-    """All complete subobjects of a finite object, ordered by inclusion."""
+    """All complete subobjects of a finite object, ordered by inclusion.
+
+    A complete subobject is a vertex set with an edge set that holds each
+    S-vertex's out-edges all or none (T is then the S-vertices emitting an
+    edge), so the subobjects are the down-sets of a poset P: the sorted
+    vertices, then one element per S-vertex standing for its whole out-edge
+    group, then one per edge from a vertex outside S, each above its edges'
+    endpoints.  Node i is ``masks[i]``, bit k for the k-th element of P, and
+    the nodes form a finite distributive lattice (Birkhoff; Davey-Priestley,
+    *Introduction to Lattices and Order*, ch. 5).
+    """
 
     ambient: CLObject
-    nodes: tuple          # CLObject, sorted deterministically
+    masks: tuple          # int per node, sorted deterministically
     top_index: int
 
+    # P as (sorted vertices, upper elements), see _poset
+    poset = cached_property(lambda self: _poset(self.ambient))
+
     def leq(self, i: int, j: int) -> bool:
-        a, b = self.nodes[i], self.nodes[j]
-        return (
-            a.graph.vertices <= b.graph.vertices
-            and set(a.graph.edges) <= set(b.graph.edges)
-            and a.s_set <= b.s_set
-        )
+        return self.masks[i] | self.masks[j] == self.masks[j]
 
     def covers(self) -> list:
         """Covering pairs (i, j) of the inclusion order (for DOT export).
 
-        Each node is a bitmask over the ambient vertices, edges and S, so
-        ``leq`` is mask containment.  ``holders[b]`` is the bitmask of the
-        nodes having bit b, so the nodes above i are the AND of the holders
-        of i's bits; ``above[i]`` is the bitmask of the j strictly above i,
-        and the covers of i are the j in ``above[i]`` that lie in no
-        ``above[k]`` for a k in ``above[i]``.
+        In a lattice of down-sets, J covers I exactly when J = I + {x} for
+        an x outside I whose lower elements all lie in I.
         """
-        bit: dict = {}
-        masks = []
-        for node in self.nodes:
-            keys = ([("v", v) for v in node.graph.vertices]
-                    + [("e", e) for e in node.graph.edges]
-                    + [("s", v) for v in node.s_set])
-            masks.append(sum(1 << bit.setdefault(k, len(bit)) for k in keys))
-        holders = [0] * len(bit)
-        for j, mask in enumerate(masks):
-            for b in _bits(mask):
-                holders[b] |= 1 << j
-        everyone = (1 << len(masks)) - 1
-        above = []
-        for i, mask in enumerate(masks):
-            up = everyone
-            for b in _bits(mask):
-                up &= holders[b]
-            above.append(up & ~(1 << i))
+        vertices, uppers = self.poset
+        below = [0] * len(vertices) + [b for b, _, _ in uppers]
+        index = {m: i for i, m in enumerate(self.masks)}
         pairs = []
-        for i, up in enumerate(above):
-            through = 0
-            for k in _bits(up):
-                through |= above[k]
-            pairs.extend((i, j) for j in _bits(up & ~through))
+        for i, m in enumerate(self.masks):
+            js = [index[m | 1 << x] for x, b in enumerate(below) if not m >> x & 1 and b | m == m]
+            pairs.extend((i, j) for j in sorted(js))
         return pairs
 
+    def contents(self, i: int) -> tuple:
+        """Node i's vertex ids, edge triples and T, each sorted."""
+        vertices, uppers = self.poset
+        m = self.masks[i]
+        chosen = [u for k, u in enumerate(uppers) if m >> len(vertices) + k & 1]
+        return ([v for k, v in enumerate(vertices) if m >> k & 1],
+                sorted(e for _, edges, _ in chosen for e in edges),
+                [t for _, _, t in chosen if t is not None])
 
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    def node(self, i: int) -> CLObject:
+        """Node i as a CLObject, built from its mask."""
+        vertices, edges, t_set = self.contents(i)
+        return CLObject(Graph(vertices, edges), t_set)
+
+    # every node as a CLObject, built on first read
+    nodes = cached_property(lambda self: tuple(map(self.node, range(len(self.masks)))))
 
 
-def _closed_edge_sets(E: Graph, S: frozenset):
-    """Edge subsets satisfying the all-or-nothing rule at S-vertices."""
-    bundles = [tuple(E.out_edges(v)) for v in sorted(S)]
-    bundled = {e for b in bundles for e in b}
-    free = [e for e in E.edge_ids() if e not in bundled]
-    for bundle_mask in range(1 << len(bundles)):
-        chosen_bundles = [
-            e for i, b in enumerate(bundles) if bundle_mask >> i & 1 for e in b
-        ]
-        for free_mask in range(1 << len(free)):
-            chosen_free = [e for i, e in enumerate(free) if free_mask >> i & 1]
-            yield frozenset(chosen_bundles) | frozenset(chosen_free)
+def _poset(obj: CLObject) -> tuple:
+    """P as the sorted vertices and the upper elements, in order.
+
+    An upper element is ``(below, edges, t)``: ``below`` is the mask of the
+    endpoints of ``edges``, and ``t`` the S-vertex emitting them, or None
+    for an edge from a vertex outside S.
+    """
+    E, S = obj.graph, obj.s_set
+    vertices = sorted(E.vertices)
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    groups = [(E.out_edges(v), v) for v in sorted(S)]
+    groups += [((eid,), None) for eid, src, _ in E.edges if src not in S]
+    uppers = []
+    for eids, t in groups:
+        edges = tuple(E._by_id[e] for e in eids)
+        ends = {v for _, src, rng in edges for v in (src, rng)}
+        uppers.append((sum(bit[v] for v in ends), edges, t))
+    return vertices, uppers
 
 
 def subobject_system(obj: CLObject) -> SubobjectSystem:
-    """Enumerate every complete subobject (exponential; intended for small graphs)."""
-    E, S = obj.graph, obj.s_set
-    nodes = []
-    all_vertices = sorted(E.vertices)
-    for edge_ids in _closed_edge_sets(E, S):
-        endpoints = set()
-        for e in edge_ids:
-            endpoints |= {E.src(e), E.rng(e)}
-        optional = [v for v in all_vertices if v not in endpoints]
-        for mask in range(1 << len(optional)):
-            vs = endpoints | {v for i, v in enumerate(optional) if mask >> i & 1}
-            F = Graph(vs, [(e, E.src(e), E.rng(e)) for e in sorted(edge_ids)])
-            T = frozenset(v for v in S if set(E.out_edges(v)) & edge_ids)
-            nodes.append(CLObject(F, T))
-    nodes.sort(
-        key=lambda o: (
-            len(o.graph.vertices),
-            len(o.graph.edges),
-            tuple(sorted(o.graph.vertices)),
-            o.graph.edges,
-        )
-    )
-    top = next(
-        i
-        for i, o in enumerate(nodes)
-        if o.graph.vertices == E.vertices and set(o.graph.edges) == set(E.edges)
-    )
-    return SubobjectSystem(obj, tuple(nodes), top)
+    """Enumerate every complete subobject (exponential; intended for small graphs).
+
+    A down-set of P is any set of upper elements together with any superset
+    of their endpoints.  Nodes are sorted by vertex count, edge count, vertex
+    ids and then edges, which puts the whole object last.
+    """
+    vertices, uppers = _poset(obj)
+    everyone = (1 << len(vertices)) - 1
+    keyed = []
+    for chosen in range(1 << len(uppers)):
+        need, edges = 0, []
+        for k, (below, group, _) in enumerate(uppers):
+            if chosen >> k & 1:
+                need |= below
+                edges.extend(group)
+        edges.sort()
+        free = everyone & ~need
+        sub = free
+        while True:  # every subset of the free vertices
+            vs = need | sub
+            names = tuple([v for k, v in enumerate(vertices) if vs >> k & 1])
+            keyed.append(((len(names), len(edges), names, edges), vs | chosen << len(vertices)))
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    keyed.sort()
+    return SubobjectSystem(obj, tuple(m for _, m in keyed), len(keyed) - 1)
 
 
 # -- JSON interchange -------------------------------------------------------
@@ -573,12 +569,10 @@ def load_object(path: str) -> CLObject:
 def system_to_dot(system: SubobjectSystem) -> str:
     """Write-only DOT rendering of the inclusion order of complete subobjects."""
     lines = ["digraph subobjects {", "  rankdir=BT;"]
-    for i, node in enumerate(system.nodes):
-        label = (
-            "{" + ",".join(sorted(node.graph.vertices)) + "};"
-            "{" + ",".join(node.graph.edge_ids()) + "};"
-            "T={" + ",".join(sorted(node.s_set)) + "}"
-        )
+    for i in range(len(system.masks)):
+        vertices, edges, t_set = system.contents(i)
+        label = "{%s};{%s};T={%s}" % (",".join(vertices), ",".join(e[0] for e in edges),
+                                      ",".join(t_set))
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in system.covers():
         lines.append(f"  n{i} -> n{j};")

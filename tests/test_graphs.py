@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,12 @@ class TestDeepGraphs:
         assert paths[-1].source == vs[0]
 
 
+def random_subgraph(rng, ambient) -> Graph:
+    vs = [v for v in sorted(ambient.graph.vertices) if rng.random() < 0.6]
+    es = [e for e in ambient.graph.edges if e[1] in vs and e[2] in vs and rng.random() < 0.6]
+    return Graph(vs, es)
+
+
 class TestCompleteSubobjects:
     def test_fan_subobject(self):
         ambient = fan(3)
@@ -210,16 +217,22 @@ class TestCompleteSubobjects:
         rng = random.Random(23)
         for _ in range(30):
             ambient = random_object(rng)
-            vs = [v for v in sorted(ambient.graph.vertices) if rng.random() < 0.6]
-            es = [
-                e for e in ambient.graph.edges
-                if e[1] in vs and e[2] in vs and rng.random() < 0.6
-            ]
-            sub = Graph(vs, es)
+            sub = random_subgraph(rng, ambient)
             closed = complete(sub, ambient)
             ok, violations = is_complete_subobject(closed, ambient)
             assert ok, violations
             assert sub.is_subgraph_of(closed.graph)
+
+    def test_closure_is_the_least_complete_subobject_above(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            ambient = random_object(rng)
+            sub = random_subgraph(rng, ambient)
+            system = subobject_system(ambient)
+            least = system.nodes.index(complete(sub, ambient))
+            for j, node in enumerate(system.nodes):
+                if sub.is_subgraph_of(node.graph):
+                    assert system.leq(least, j), (ambient, sub, node)
 
 
 class TestRelativeGraph:
@@ -273,6 +286,12 @@ class TestRelativeGraph:
         assert rel.primed_vertex["v"] == "v''"
 
 
+# the covers check runs on the first 16 (its cubic reference is slow), the leq check on all
+SYSTEM_CASES = ([fan(3), fan(4), comet(1), comet(2)]
+                + [random_object(random.Random(seed)) for seed in range(32)])
+SYSTEM_IDS = ["fan3", "fan4", "comet1", "comet2"] + [f"random{s}" for s in range(32)]
+
+
 class TestSubobjectSystem:
     def test_two_disjoint_sinks_powerset(self):
         system = subobject_system(CLObject(Graph(["a", "b"], []), []))
@@ -296,11 +315,7 @@ class TestSubobjectSystem:
         assert system.leq(idx[0], idx[1]) and system.leq(idx[1], idx[2])
         assert system.top_index == idx[2]
 
-    @pytest.mark.parametrize(
-        "obj",
-        [fan(3), fan(4), comet(1), comet(2)]
-        + [random_object(random.Random(seed)) for seed in range(12)],
-        ids=["fan3", "fan4", "comet1", "comet2"] + [f"random{s}" for s in range(12)])
+    @pytest.mark.parametrize("obj", SYSTEM_CASES[:16], ids=SYSTEM_IDS[:16])
     def test_covers_match_the_definition(self, obj):
         system = subobject_system(obj)
         n = len(system.nodes)
@@ -315,6 +330,27 @@ class TestSubobjectSystem:
             )
         ]
         assert system.covers() == want
+
+    @pytest.mark.parametrize("obj", SYSTEM_CASES, ids=SYSTEM_IDS)
+    def test_leq_is_inclusion_of_the_objects(self, obj):
+        system = subobject_system(obj)
+        for i, a in enumerate(system.nodes):
+            for j, b in enumerate(system.nodes):
+                included = (a.graph.vertices <= b.graph.vertices
+                            and set(a.graph.edges) <= set(b.graph.edges)
+                            and a.s_set <= b.s_set)
+                assert system.leq(i, j) == included, (a, b)
+
+    def test_covers_memory_is_linear_in_the_output(self):
+        system = subobject_system(fan(9))
+        tracemalloc.start()
+        try:
+            pairs = system.covers()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(system.masks), len(pairs)) == (20195, 120914)
+        assert peak < 200 * (len(system.masks) + len(pairs)), peak
 
     def test_all_nodes_complete(self):
         obj = fan(2, s_on=True)
