@@ -39,6 +39,8 @@ _GRAPH_COMMANDS = {
     "witness_cancellation": ["witness", "{graph}", "--kind", "cancellation"],
 }
 _EVAL = {"readme": "2 * e1|e1 + v", "rose_exit": "c1.c2|c1 - x|x", "cycle_tail": "t.a.b|t + x"}
+# coefficients that are not integers, and a sum of them that is
+_RATIONAL_EVAL = {"half_diff": "1/2 * v - v", "half_sum": "1/2 * v + 1/2 * v"}
 
 
 def _cli_cases():
@@ -49,6 +51,9 @@ def _cli_cases():
         for cname, argv in _GRAPH_COMMANDS.items():
             cases.append((f"{cname}-{gname}", [a.format(graph=graph) for a in argv]))
         cases.append((f"eval-{gname}", ["eval", _EVAL[gname], "--graph", graph]))
+    readme = str(INPUTS / _GRAPHS["readme"])
+    for name, text in _RATIONAL_EVAL.items():
+        cases.append((f"eval_{name}-readme", ["eval", text, "--graph", readme]))
     sub, sig_a, sig_b = (str(INPUTS / f) for f in ("readme_sub.json", "sig_a.json", "sig_b.json"))
     cases.append(("complete_sub-readme", ["complete", str(INPUTS / _GRAPHS["readme"]),
                                           "--sub", sub]))
