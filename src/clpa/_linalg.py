@@ -42,7 +42,7 @@ def _reduce(rows, field: Field) -> list:
         top = rows[rank]
         # rows from rank on are zero left of col; relation rows are sparse
         support = [c for c in range(col, ncols) if top[c]]
-        inv = field.one / top[col]
+        inv = field.div(field.one, top[col])
         for c in support:
             top[c] *= inv
         for r, row in enumerate(rows):

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
-from .errors import ContextMismatch, IncompleteMap
+from .errors import ContextMismatch, FieldMismatch, IncompleteMap
 from .graphs import CLObject, Graph, Path, relative_graph
 from .scalars import QQ, Field, Scalar, field_of
 
@@ -165,6 +165,10 @@ class AlgebraContext(Record):
     def from_raw(self, terms: Iterable[tuple]) -> "AlgebraElement":
         """Normal form of a raw combination of (coefficient, monomial) pairs."""
         out: dict = {}
+        terms = list(terms)
+        foreign = [c for c, _ in terms if not self.field.contains(c)]
+        if foreign:
+            raise FieldMismatch(f"coefficient {foreign[0]!r} is not in {self.field!r}")
         self._rewrite_into(out, [(m, c) for c, m in terms if c])
         return _element(self, out)
 

@@ -105,9 +105,10 @@ class _Parser:
                 den_tok = self.take()
                 den = int(den_tok.text)
                 self.take()
-                if not self.ctx.field.from_int(den):
+                field = self.ctx.field
+                if not field.from_int(den):
                     raise ParseError("zero denominator", den_tok.pos)
-                coeff = coeff * self.ctx.field.from_int(num) / self.ctx.field.from_int(den)
+                coeff = field.div(coeff * field.from_int(num), field.from_int(den))
         mono = self.mono()
         return (coeff, mono)
 

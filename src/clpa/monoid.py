@@ -18,7 +18,6 @@ at the algebra level, never assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
@@ -97,8 +96,8 @@ class Presentation(Record):
     @cached_property
     def functionals(self) -> list:
         """A basis of additive functionals (over Q) constant on every relation."""
-        rows = [[Fraction(p - q) for p, q in zip(*pair)] for pair in self._relation_vectors()]
-        return nullspace_basis(rows or [[Fraction(0)] * len(self.generators)], QQ)
+        rows = [[p - q for p, q in zip(*pair)] for pair in self._relation_vectors()]
+        return nullspace_basis(rows or [[0] * len(self.generators)], QQ)
 
     invariant = cached_property(lambda self: path_count_invariant(self))  # None: the relative graph has an exit
 

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic: rationals, prime fields, and Laurent polynomials.
 
-Scalars are either ``fractions.Fraction`` (the rational field) or
-:class:`PFElement` (a prime field GF(p), p prime and at most 2**31).
-Both support ``+ - * /`` with exact results; mixing fields raises
-:class:`~clpa.errors.FieldMismatch`.  The field involution is the identity.
+A rational is an ``int`` when it is integral and a ``fractions.Fraction``
+only when it is not; a GF(p) scalar is a :class:`PFElement` (p prime, at
+most 2**31).  ``Field.div`` is the only division, as ``/`` on two ints gives
+a float.  A :class:`PFElement` takes a plain int as its residue mod p; any
+other mix of fields raises :class:`~clpa.errors.FieldMismatch`.  The field
+involution is the identity.
 
 A Laurent polynomial carries an intrinsic *period* ``n``: the generator ``t``
 stands for a degree-``n`` homogeneous element, so the term ``a*t^k`` is
@@ -115,27 +117,32 @@ class PFElement(Record):
 _set_pf_value, _set_pf_p = PFElement.value.__set__, PFElement.p.__set__
 
 
-Scalar = Union[Fraction, PFElement]
+Scalar = Union[int, Fraction, PFElement]  # a rational is an int or, if not integral, a Fraction
 
 
 class RationalField:
     """The field of exact rationals, trivially graded, identity involution."""
 
     name = "Q"
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def from_int(self, n: int) -> int:
+        return int(n)
 
     def contains(self, a) -> bool:
-        return isinstance(a, Fraction)
+        return a.__class__ is int or isinstance(a, Fraction)  # never a bool
+
+    def div(self, a, b):
+        """The exact quotient a / b: an int when it is integral."""
+        if not b:
+            raise DivisionByZero("division by zero in Q")
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def __repr__(self):
         return "QQ"
@@ -174,6 +181,9 @@ class PrimeField(Record):
     def contains(self, a) -> bool:
         return isinstance(a, PFElement) and a.p == self.p
 
+    def div(self, a: PFElement, b: PFElement) -> PFElement:
+        return a / b
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -184,7 +194,7 @@ Field = Union[RationalField, PrimeField]
 
 
 def field_of(a: Scalar) -> Field:
-    if isinstance(a, Fraction):
+    if QQ.contains(a):
         return QQ
     if isinstance(a, PFElement):
         return PrimeField(a.p)

@@ -12,9 +12,9 @@ from clpa.algebra import (
     evaluate_element,
     is_idempotent,
 )
-from clpa.errors import ContextMismatch, IncompleteMap, NonFiniteEnumeration
+from clpa.errors import ContextMismatch, FieldMismatch, IncompleteMap, NonFiniteEnumeration
 from clpa.graphs import Graph, Path
-from clpa.scalars import QQ, LaurentPoly, PrimeField
+from clpa.scalars import QQ, LaurentPoly, PFElement, PrimeField
 
 from conftest import chain, fan, loop, random_element, rose, tree
 from oracles import all_paths, normal_monomials
@@ -58,6 +58,25 @@ class TestNormalForm:
         assert ctx.monomial(e2, e2) == ctx.vertex("v") - ctx.monomial(e1, e1)
         with pytest.raises(ContextMismatch):
             ctx.vertex("v") + ctx_of(obj).vertex("v")
+
+    @pytest.mark.parametrize("field, coeff", [
+        (QQ, 0.5), (QQ, True), (QQ, PFElement(1, 5)), (PrimeField(5), Fraction(2)),
+        (PrimeField(5), 2), (PrimeField(5), PFElement(1, 7)), (QQ, QQ.one / 2),
+    ])
+    def test_foreign_coefficients_rejected(self, field, coeff):
+        ctx = ctx_of(loop(False), field)
+        c = ctx.graph.make_path(["c"])
+        with pytest.raises(FieldMismatch):
+            ctx.monomial(c, c, coeff)
+        with pytest.raises(FieldMismatch):
+            ctx.from_raw([(field.one, Monomial(c, c)), (coeff, Monomial(c, c))])
+
+    def test_rational_coefficient_accepted(self):
+        ctx = ctx_of(loop(False))
+        c = ctx.graph.make_path(["c"])
+        half = ctx.monomial(c, c, Fraction(1, 2))
+        assert half.terms == ((Monomial(c, c), Fraction(1, 2)),)
+        assert half + half == ctx.monomial(c, c)
 
     def test_rewrite_terminates_on_nested_tails(self):
         ctx = ctx_of(rose())

@@ -47,7 +47,8 @@ class TestExpressions:
 
     def test_rational_coefficient(self, fan_ctx):
         got = parse_expression("1/2 * v - v", fan_ctx)
-        assert got == fan_ctx.vertex("v").scale(fan_ctx.field.from_int(-1) / fan_ctx.field.from_int(2))
+        field = fan_ctx.field
+        assert got == fan_ctx.vertex("v").scale(field.div(field.from_int(-1), field.from_int(2)))
 
     def test_dotted_path(self):
         ctx = AlgebraContext(loop())

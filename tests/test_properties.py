@@ -222,7 +222,7 @@ def _dense_nullspace(rows, field) -> list:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.one / m[rank][col]
+        inv = field.div(field.one, m[rank][col])
         m[rank] = [x * inv for x in m[rank]]
         for r in range(len(m)):
             if r != rank:

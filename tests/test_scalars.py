@@ -1,19 +1,29 @@
 """Field arithmetic and Laurent polynomials."""
 
+import ast
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clpa.algebra import AlgebraContext
 from clpa.errors import DivisionByZero, FieldMismatch, PeriodMismatch
+from clpa.gradedmat import DirectSum, GradedMatrixAlgebra
 from clpa.scalars import (
     QQ,
     LaurentPoly,
     PFElement,
     PrimeField,
     field_from_spec,
+    field_of,
 )
+
+from conftest import loop_with_exit, random_element, random_object
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clpa"
 
 
 class TestScalarArith:
@@ -55,6 +65,86 @@ class TestScalarArith:
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gf5_elements = st.integers(min_value=0, max_value=4).map(lambda n: PFElement(n, 5))
+
+
+class TestRationalScalars:
+    """A rational is an int when integral and a Fraction only when it is not."""
+
+    def test_field_constants_are_ints(self):
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.from_int(-3)) is int and QQ.from_int(-3) == -3
+
+    def test_contains(self):
+        assert QQ.contains(2) and QQ.contains(Fraction(1, 2))
+        assert not QQ.contains(PFElement(1, 5)) and field_of(PFElement(1, 5)) == PrimeField(5)
+        for foreign in (True, 0.5, "1"):
+            assert not QQ.contains(foreign)
+            with pytest.raises(FieldMismatch):
+                field_of(foreign)
+        assert field_of(2) == QQ and field_of(Fraction(1, 3)) == QQ
+
+    def test_div_is_exact(self):
+        assert QQ.div(-1, 2) == Fraction(-1, 2)
+        assert QQ.div(Fraction(2, 3), 4) == Fraction(1, 6)
+        assert QQ.div(7, Fraction(7, 2)) == 2
+
+    def test_div_returns_an_int_when_integral(self):
+        for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -4, Fraction(-3, 2)), (0, 5, 0),
+                        (Fraction(1, 2), Fraction(1, 4), 2), (3, Fraction(1, 3), 9)):
+            got = QQ.div(a, b)
+            assert got == q
+            assert type(got) is (int if q == int(q) else Fraction)
+
+    def test_div_by_zero(self):
+        for b in (0, Fraction(0)):
+            with pytest.raises(DivisionByZero):
+                QQ.div(1, b)
+        with pytest.raises(DivisionByZero):
+            PrimeField(5).div(PFElement(1, 5), PFElement(0, 5))
+
+    @given(a=rationals, b=rationals)
+    def test_div_inverts_mul(self, a, b):
+        if b:
+            q = QQ.div(a, b)
+            assert q * b == a and type(q) is (int if q.denominator == 1 else Fraction)
+
+    def test_prime_field_div(self):
+        gf5 = PrimeField(5)
+        assert gf5.div(PFElement(3, 5), PFElement(4, 5)) * PFElement(4, 5) == PFElement(3, 5)
+
+
+def _coeffs_are_ints(values) -> bool:
+    return all(type(c) is int for c in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_integer_elements_keep_int_coefficients(seed):
+    # sums, products and stars of integer combinations never turn into Fractions
+    rng = random.Random(seed)
+    ctx = AlgebraContext(random_object(rng) if seed % 2 else loop_with_exit(), QQ)
+    x = random_element(ctx, rng, max_terms=5)
+    y = random_element(ctx, rng, max_terms=5)
+    for z in (x, y, x + y, x - y, x * y, y * x * y, x.star(), (x * y).star(), ctx.unit()):
+        assert _coeffs_are_ints(c for _, c in z.terms), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["field", "laurent"]),
+       combos=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2),
+                                 st.integers(-3, 3)), min_size=2, max_size=8))
+def test_integer_matrices_keep_int_coefficients(kind, combos):
+    alg = GradedMatrixAlgebra(kind, 3, (0, 1, 1), period=2 if kind == "laurent" else None)
+    s = DirectSum((alg,), QQ)
+    x = y = s.zero()
+    for n, (i, j, k, c) in enumerate(combos):
+        unit = s.unit(0, i, j, k if kind == "laurent" else 0).scale(QQ.from_int(c))
+        if n % 2:
+            x = x + unit
+        else:
+            y = y + unit
+    for z in (x + y, x - y, x * y, y * x * y, x.star(), (x * y).star()):
+        assert _coeffs_are_ints(z.terms.values()), z
 
 
 class TestFieldAxioms:
@@ -120,6 +210,7 @@ class TestLaurentProperties:
     @given(f=laurent_polys, g=laurent_polys)
     def test_involution_antimultiplicative(self, f, g):
         assert (f * g).star() == g.star() * f.star()
+        assert _coeffs_are_ints(a for _, a in (f * g - f).star().terms)
 
     @settings(max_examples=60)
     @given(f=laurent_polys, g=laurent_polys)
@@ -144,3 +235,24 @@ class TestLaurentProperties:
 
 def _eval(f, x):
     return sum((a * x**k for k, a in f.terms), start=Fraction(0))
+
+
+def _src_trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_field_div_is_the_only_division():
+    # `/` on two ints gives a float, so the package divides only through Field.div
+    found = [f"{name}:{node.lineno}" for name, tree in _src_trees() if name != "scalars.py"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert found == []
+
+
+def test_fractions_is_imported_only_by_scalars():
+    found = [f"{name}:{node.lineno}" for name, tree in _src_trees() if name != "scalars.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)]
+    assert found == []
