@@ -83,13 +83,9 @@ class TestRationalScalars:
                 field_of(foreign)
         assert field_of(2) == QQ and field_of(Fraction(1, 3)) == QQ
 
-    def test_div_is_exact(self):
-        assert QQ.div(-1, 2) == Fraction(-1, 2)
-        assert QQ.div(Fraction(2, 3), 4) == Fraction(1, 6)
-        assert QQ.div(7, Fraction(7, 2)) == 2
-
-    def test_div_returns_an_int_when_integral(self):
+    def test_div_is_exact_and_an_int_when_integral(self):
         for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -4, Fraction(-3, 2)), (0, 5, 0),
+                        (-1, 2, Fraction(-1, 2)), (Fraction(2, 3), 4, Fraction(1, 6)),
                         (Fraction(1, 2), Fraction(1, 4), 2), (3, Fraction(1, 3), 9)):
             got = QQ.div(a, b)
             assert got == q
