@@ -7,6 +7,11 @@ unless p and q are both nonempty and both end in the distinguished special
 edge of a vertex of S, in which case one application of the full relation
 at that vertex replaces it by a strictly smaller combination.
 
+A :class:`Monomial` is the flat tuple (len p, p.edges, s(p), len q,
+q.edges, s(q)).  Comparing it orders monomials by (length, edges, source)
+of p, then of q, which is the canonical term order; hashing, equality and
+sorting all run on the tuple, and the arithmetic reads its fields by index.
+
 Raw input (``monomial``, ``unit``, parsed expressions) is normalised by
 :meth:`AlgebraContext.from_raw`.  Arithmetic on elements keeps normal form
 by construction instead: a sum of normal combinations is normal; the star
@@ -32,6 +37,7 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
@@ -40,43 +46,46 @@ from .graphs import CLObject, Graph, Path, relative_graph
 from .scalars import QQ, Field, Scalar, field_of
 
 
-class Monomial(Record):
-    """The product p q* of two paths with r(p) = r(q)."""
+class Monomial(tuple):
+    """The product p q* of two paths with r(p) = r(q), laid out as its own sort key."""
 
-    __slots__ = ("left", "right")
-    left: Path
-    right: Path
+    __slots__ = ()
 
-    def __init__(self, left: Path, right: Path):
-        _set_mono_left(self, left)
-        _set_mono_right(self, right)
+    def __new__(cls, left: Path, right: Path):
+        return _new(cls, (len(left.edges), left.edges, left.source,
+                          len(right.edges), right.edges, right.source))
 
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
+    def __getnewargs__(self):
+        return self.left, self.right
 
-    def __hash__(self):
-        return hash((self.left, self.right))
+    @property
+    def left(self) -> Path:
+        return Path(self[2], self[1])
+
+    @property
+    def right(self) -> Path:
+        return Path(self[5], self[4])
 
     @property
     def degree(self) -> int:
-        return len(self.left) - len(self.right)
+        return self[0] - self[3]
 
     def star(self) -> "Monomial":
-        return Monomial(self.right, self.left)
+        return _new(Monomial, self[3:] + self[:3])
 
-    def sort_key(self):
-        return (self.left.sort_key(), self.right.sort_key())
+    def __repr__(self):
+        return f"Monomial(left={self.left!r}, right={self.right!r})"
 
     def __str__(self):
-        if self.right.is_trivial:
+        if not self[3]:
             return str(self.left)
         return f"{self.left}|{self.right}"
 
 
-# the slots' own setters write past the frozen __setattr__, faster than object.__setattr__
-_set_mono_left, _set_mono_right = Monomial.left.__set__, Monomial.right.__set__
+# builds a Monomial from its six fields, past the Path-taking constructor
+_new = tuple.__new__
+# the sort key of a (monomial, coefficient) term
+_first = itemgetter(0)
 
 
 class AlgebraContext(Record):
@@ -180,24 +189,20 @@ class AlgebraContext(Record):
             if v is None:
                 _add_term(out, m, c)
                 continue
-            p, q = m.left, m.right
-            p1 = Path(p.source, p.edges[:-1])
-            q1 = Path(q.source, q.edges[:-1])
-            stack.append((Monomial(p1, q1), c))
-            gamma = p.edges[-1]
+            lp, p, ps, lq, q, qs = m
+            p1, q1 = p[:-1], q[:-1]
+            stack.append((_new(Monomial, (lp - 1, p1, ps, lq - 1, q1, qs)), c))
+            gamma = p[-1]
             for e in self.graph.out_edges(v):
                 if e != gamma:
-                    stack.append(
-                        (Monomial(Path(p1.source, p1.edges + (e,)),
-                                  Path(q1.source, q1.edges + (e,))), -c)
-                    )
+                    stack.append((_new(Monomial, (lp, p1 + (e,), ps, lq, q1 + (e,), qs)), -c))
 
     def _reducible_at(self, m: Monomial) -> Optional[str]:
         # reducible iff p and q both end in the special edge of an S-vertex
-        if not m.left.edges or not m.right.edges:
+        if not m[0] or not m[3]:
             return None
-        last = m.left.edges[-1]
-        if m.right.edges[-1] != last:
+        last = m[1][-1]
+        if m[4][-1] != last:
             return None
         v = self.graph.src(last)
         if self.special_edge(v) == last:
@@ -221,15 +226,11 @@ def _add_term(out: dict, m: Monomial, c: Scalar) -> None:
             del out[m]
 
 
-def _term_key(term: tuple):
-    return term[0].sort_key()
-
-
 def _element(ctx: AlgebraContext, out: dict) -> "AlgebraElement":
     """The element of a dict of normal monomials with nonzero coefficients."""
     if len(out) < 2:
         return AlgebraElement(ctx, tuple(out.items()))
-    return AlgebraElement(ctx, tuple(sorted(out.items(), key=_term_key)))
+    return AlgebraElement(ctx, tuple(sorted(out.items(), key=_first)))
 
 
 class AlgebraElement(Record):
@@ -284,24 +285,22 @@ class AlgebraElement(Record):
         out: dict = {}
         critical = []
         for m1, c1 in self.terms:
-            p, q = m1.left, m1.right
-            lq = len(q.edges)
+            lp, p, ps, lq, q, qs = m1
             for m2, c2 in other.terms:
-                r, s = m2.left, m2.right
-                if r.source != q.source:
+                if m2[2] != qs:
                     continue
-                lr = len(r.edges)
+                lr, r = m2[0], m2[1]
                 if lq < lr:
-                    if r.edges[:lq] != q.edges:
+                    if r[:lq] != q:
                         continue
-                    prod = Monomial(Path(p.source, p.edges + r.edges[lq:]), s)
+                    prod = _new(Monomial, (lp + lr - lq, p + r[lq:], ps, m2[3], m2[4], m2[5]))
                 elif lr < lq:
-                    if q.edges[:lr] != r.edges:
+                    if q[:lr] != r:
                         continue
-                    prod = Monomial(p, Path(s.source, s.edges + q.edges[lr:]))
+                    prod = _new(Monomial, (lp, p, ps, m2[3] + lq - lr, m2[4] + q[lr:], m2[5]))
                 else:
-                    if q.edges == r.edges:
-                        critical.append((Monomial(p, s), c1 * c2))
+                    if q == r:
+                        critical.append((_new(Monomial, (lp, p, ps, m2[3], m2[4], m2[5])), c1 * c2))
                     continue
                 _add_term(out, prod, c1 * c2)
         if critical:
@@ -321,7 +320,7 @@ class AlgebraElement(Record):
         Swapping keeps each monomial normal and distinct, so only the order changes.
         """
         return AlgebraElement(self.ctx, tuple(sorted(
-            ((m.star(), c) for m, c in self.terms), key=_term_key)))
+            [(m.star(), c) for m, c in self.terms], key=_first)))
 
     def support(self) -> tuple:
         """(left, right): the sources of the p and of the q over the terms p q*.
@@ -330,7 +329,7 @@ class AlgebraElement(Record):
         support of x and the left support of y are disjoint.
         """
         terms = self.terms
-        return {m.left.source for m, _ in terms}, {m.right.source for m, _ in terms}
+        return {m[2] for m, _ in terms}, {m[5] for m, _ in terms}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -341,7 +340,7 @@ class AlgebraElement(Record):
     def degree_components(self) -> dict:
         out: dict = {}
         for m, c in self.terms:
-            out.setdefault(m.degree, []).append((m, c))
+            out.setdefault(m[0] - m[3], []).append((m, c))
         return {
             d: AlgebraElement(self.ctx, tuple(parts)) for d, parts in sorted(out.items())
         }
@@ -377,20 +376,20 @@ class GeneratorMapReport(Record):
         return not self.failures and not self.degree_failures
 
 
-def _eval_path(p: Path, images: Mapping):
-    if p.is_trivial:
-        return images[p.source]
-    acc = images[p.edges[0]]
-    for e in p.edges[1:]:
+def _eval_path(source: str, edges: tuple, images: Mapping):
+    if not edges:
+        return images[source]
+    acc = images[edges[0]]
+    for e in edges[1:]:
         acc = acc * images[e]
     return acc
 
 
 def evaluate_monomial(m: Monomial, images: Mapping):
-    left = _eval_path(m.left, images)
-    if m.right.is_trivial:
+    left = _eval_path(m[2], m[1], images)
+    if not m[3]:
         return left
-    return left * _eval_path(m.right, images).star()
+    return left * _eval_path(m[5], m[4], images).star()
 
 
 def evaluate_element(x: AlgebraElement, images: Mapping):
@@ -429,22 +428,34 @@ def _meeting_pairs(names: list, firsts: Mapping, seconds: Mapping):
 
 
 def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
-    """Evaluate every axiom instance of the object at the given images.
+    """Check every axiom instance of the object at the given images.
 
     ``images`` maps every vertex id and edge id to a target element; ghost
     images are the involutions of the edge images.  An empty failure list
     certifies a *-homomorphism on generators.  The degree check demands each
     vertex image be homogeneous of degree 0 and each edge image of degree 1.
 
+    Evaluated: (V*) v* = v at every vertex, (E1), (CK1), (SCK2), and (V)
+    v v = v only at the vertices that are neither a range nor in S.  The
+    other instances are proved from these, as star is an involutive
+    anti-homomorphism of every target:
+
+    * (E2) r(e) e* = e* and e* s(e) = e* are the stars of the two (E1)
+      instances, by (V*) at r(e) and s(e).
+    * (V) at r = r(e): r = e* e by (CK1), so r r = e* (e r) = e* e = r by
+      (CK1) and (E1).
+    * (V) at v in S: v = sum of e e* over the edges of v by (SCK2), so v v =
+      sum over e, f of e (e* f) f* = sum over e of e r(e) e* = v by (CK1)
+      and (E1).
+
     The v != w instances of (V) and the e != f instances of (CK1) claim a
     product is 0.  They are evaluated only where the right support of the
     first factor meets the left support of the second: elsewhere the product
     is 0 by the multiplication rule itself (e_ij e_kl = 0 for j != k, and
     q* r = q* s(q) s(r) r = 0 for s(q) != s(r)), so a skipped instance is
-    proved, not sampled.  Every other instance is evaluated.  So that no
-    skipped product hides two different algebras, the images must first all
-    have the same ``zero()``; images that do not are reported as failures and
-    nothing else is checked.
+    proved, not sampled.  So that no skipped product hides two different
+    algebras, the images must first all have the same ``zero()``; images
+    that do not are reported as failures and nothing else is checked.
     """
     g = obj.graph
     verts = sorted(g.vertices)
@@ -473,18 +484,18 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
     ghosts = {e: images[e].star() for e in edges}
     supports = {x: images[x].support() for x in verts + edges}
     ghost_supports = {e: ghosts[e].support() for e in edges}
+    implied = obj.s_set.union(map(g.rng, edges))
+    for v in verts:
+        expect_equal(f"(V*) {v}*={v}", images[v].star(), images[v])
     for v, w in _meeting_pairs(verts, supports, supports):
-        prod = images[v] * images[w]
-        if v == w:
-            expect_equal(f"(V) {v}*{v}={v}", prod, images[v])
-        else:
-            expect_zero(f"(V) {v}*{w}=0", prod)
+        if v != w:
+            expect_zero(f"(V) {v}*{w}=0", images[v] * images[w])
+        elif v not in implied:
+            expect_equal(f"(V) {v}*{v}={v}", images[v] * images[v], images[v])
     for e in edges:
-        img, ghost = images[e], ghosts[e]
+        img = images[e]
         expect_equal(f"(E1) s({e}){e}={e}", images[g.src(e)] * img, img)
         expect_equal(f"(E1) {e}r({e})={e}", img * images[g.rng(e)], img)
-        expect_equal(f"(E2) r({e}){e}*={e}*", images[g.rng(e)] * ghost, ghost)
-        expect_equal(f"(E2) {e}*s({e})={e}*", ghost * images[g.src(e)], ghost)
     for e, f in _meeting_pairs(edges, ghost_supports, supports):
         prod = ghosts[e] * images[f]
         if e == f:
@@ -529,20 +540,20 @@ def relative_generator_images(
     unprimed = sorted(rel.primed_vertex)
     images: dict = {}
 
-    def expansion(v: str) -> AlgebraElement:
-        return ctx.from_raw(
-            [
-                (ctx.field.one, Monomial(g.make_path([e]), g.make_path([e])))
-                for e in g.out_edges(v)
-            ]
-        )
+    def expansion(v: str, head: tuple = ()) -> AlgebraElement:
+        # the sum of (head f) f* over the edges f of v, each term normal as v is not in S
+        return ctx.from_raw([(ctx.field.one, Monomial(g.make_path(head + (f,)), g.make_path([f])))
+                             for f in g.out_edges(v)])
 
     for v in sorted(g.vertices):
         images[v] = expansion(v) if v in unprimed else ctx.vertex(v)
     for v in unprimed:
         images[rel.primed_vertex[v]] = ctx.vertex(v) - expansion(v)
     for e in sorted(g.edge_ids()):
-        images[e] = ctx.edge(e) * images[g.rng(e)]
+        # phi(e) = e phi(r(e)) in normal form: e, or the sum of (e f) f* when r(e) is unprimed
         if e in rel.primed_edge:
-            images[rel.primed_edge[e]] = ctx.edge(e) * images[rel.primed_vertex[g.rng(e)]]
+            images[e] = expansion(g.rng(e), (e,))
+            images[rel.primed_edge[e]] = ctx.edge(e) - images[e]
+        else:
+            images[e] = ctx.edge(e)
     return rel, ctx, images

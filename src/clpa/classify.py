@@ -265,9 +265,9 @@ def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     for each of its edges; otherwise NotASubgraph is raised.
 
     The inclusion is injective exactly when psi, the restriction of phi to
-    the generators of F, is.  The (V), (E1), (E2) and (CK1) instances of F,
-    and its degree conditions, are instances of those of E at the same
-    images, so they hold.  Only (SCK2) at v in T can be new, because F may
+    the generators of F, is.  The (V), (V*), (E1), (E2) and (CK1) instances
+    of F, and its degree conditions, are instances of those of E at the
+    same images, so they hold.  Only (SCK2) at v in T can be new, because F may
     drop edges of v; those sums are evaluated.  When they hold, psi is a
     graded *-homomorphism, injective iff every
     :func:`uniqueness_conditions` element of (F, T) is nonzero (for a

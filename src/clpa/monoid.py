@@ -18,9 +18,11 @@ at the algebra level, never assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
+from math import lcm
 from operator import ge
 from typing import Optional
 
@@ -95,9 +97,14 @@ class Presentation(Record):
 
     @cached_property
     def functionals(self) -> list:
-        """A basis of additive functionals (over Q) constant on every relation."""
+        """A basis of additive functionals constant on every relation, in ints.
+
+        Each rational basis vector is scaled by the lcm of its denominators.
+        """
         rows = [[p - q for p, q in zip(*pair)] for pair in self._relation_vectors()]
-        return nullspace_basis(rows or [[0] * len(self.generators)], QQ)
+        basis = nullspace_basis(rows or [[0] * len(self.generators)], QQ)
+        scales = [lcm(*(x.denominator for x in vec)) for vec in basis]
+        return [[int(x * d) for x in vec] for vec, d in zip(basis, scales)]
 
     invariant = cached_property(lambda self: path_count_invariant(self))  # None: the relative graph has an exit
 
@@ -125,8 +132,8 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
         blocks = blocks_of(leavitt)
     except NotNoExitObject:
         return None
-    return {v: tuple(sum(1 for q in b.paths if q.source == v) for b in blocks)
-            for v in sorted(leavitt.graph.vertices)}
+    sources = [Counter(q.source for q in b.paths) for b in blocks]
+    return {v: tuple(c[v] for c in sources) for v in sorted(leavitt.graph.vertices)}
 
 
 def invariant_value(invariant: dict, x: MonoidElement) -> tuple:

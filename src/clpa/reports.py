@@ -18,6 +18,7 @@ graded-artinian-but-not-artinian.
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
@@ -156,14 +157,9 @@ class PropertyReport(Record):
         }
 
 
-def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
-    """Evaluate every condition family on the relative graph of the object."""
-    rel = relative_graph(obj)
-    facts = predicates(rel.graph)
-    no_exit = facts.is_no_exit
-    acyclic = facts.is_acyclic
-    sink_free = not facts.sinks
-
+@lru_cache(maxsize=None)
+def _entries(no_exit: bool, acyclic: bool, sink_free: bool) -> tuple:
+    """The condition rows, which depend only on the three relative-graph predicates."""
     verdict_of_family = {
         "union_matricial": no_exit,
         "sum_matricial": no_exit,
@@ -189,7 +185,7 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
         "artinian": "relative graph acyclic",
     }
 
-    entries = tuple(
+    return tuple(
         ConditionEntry(
             code,
             family,
@@ -200,6 +196,16 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
         )
         for code, family, statement in _CONDITIONS
     )
+
+
+def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
+    """Evaluate every condition family on the relative graph of the object."""
+    rel = relative_graph(obj)
+    facts = predicates(rel.graph)
+    no_exit = facts.is_no_exit
+    acyclic = facts.is_acyclic
+    sink_free = not facts.sinks
+    entries = _entries(no_exit, acyclic, sink_free)
 
     notes = []
     witnesses: dict = {}

@@ -54,7 +54,7 @@ def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> lis
                 m = Monomial(p, q)
                 if ctx.is_normal(m):
                     out.append(m)
-    out.sort(key=Monomial.sort_key)
+    out.sort()
     return out
 
 

@@ -14,7 +14,7 @@ from clpa.algebra import (
 )
 from clpa.classify import build_generator_map, inclusion_injective
 from clpa.errors import NotASubgraph
-from clpa.gradedmat import GradedMatrix
+from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra
 from clpa.graphs import CLObject, Graph, subobject_system
 from clpa.reports import relgraph_verify
 from clpa.scalars import QQ, PrimeField
@@ -28,7 +28,8 @@ def reference_check(obj, images) -> tuple:
     """Every axiom instance at every ordered pair, equality by difference.
 
     The unpruned check, kept as an oracle: returns ``(failures,
-    degree_failures)`` in the order and wording of ``check_generator_map``.
+    degree_failures)`` in the order and wording of ``check_generator_map``,
+    including the instances that it proves instead of evaluating.
     """
     g = obj.graph
     failures = []
@@ -44,6 +45,8 @@ def reference_check(obj, images) -> tuple:
     verts = sorted(g.vertices)
     edges = sorted(g.edge_ids())
     ghosts = {e: images[e].star() for e in edges}
+    for v in verts:
+        expect_equal(f"(V*) {v}*={v}", images[v].star(), images[v])
     for v in verts:
         for w in verts:
             prod = images[v] * images[w]
@@ -81,9 +84,24 @@ def reference_check(obj, images) -> tuple:
     return tuple(failures), tuple(degree_failures)
 
 
+def implied_labels(obj) -> set:
+    """The labels of the instances that ``check_generator_map`` proves from the others."""
+    g = obj.graph
+    labels = {f"(V) {v}*{v}={v}" for v in obj.s_set.union(map(g.rng, g.edge_ids()))}
+    for e in g.edge_ids():
+        labels |= {f"(E2) r({e}){e}*={e}*", f"(E2) {e}*s({e})={e}*"}
+    return labels
+
+
 def assert_matches_reference(obj, images):
+    """The check reports the reference's failures at the instances it evaluates,
+    and its verdict is the full reference's."""
     report = check_generator_map(obj, images)
-    assert (report.failures, report.degree_failures) == reference_check(obj, images)
+    failures, degree_failures = reference_check(obj, images)
+    implied = implied_labels(obj)
+    evaluated = tuple(f for f in failures if f.split(": ", 1)[0] not in implied)
+    assert (report.failures, report.degree_failures) == (evaluated, degree_failures)
+    assert report.ok == (not failures and not degree_failures)
     return report
 
 
@@ -109,6 +127,13 @@ def test_pruned_check_matches_reference_on_classification_images(seed, data):
         bad[v] = images[v] + GradedMatrix(gmap.algebra, {unit: one})
         report = assert_matches_reference(obj, bad)
         assert any(f.startswith(f"(V) {v}*{w}=0 is nonzero") for f in report.failures)
+
+    # a scaled vertex image: (V) fails where it is evaluated, and elsewhere an
+    # instance that implies it fails
+    v = data.draw(st.sampled_from(verts))
+    scaled = dict(images)
+    scaled[v] = images[v].scale(gmap.algebra.base.from_int(2))
+    assert_matches_reference(obj, scaled)
 
     if edges:
         e = data.draw(st.sampled_from(edges))
@@ -147,6 +172,35 @@ def test_pruned_check_matches_reference_on_relative_images(seed, data):
         scaled = dict(images)
         scaled[e] = images[e].scale(ctx.field.from_int(2))
         assert_matches_reference(target, scaled)
+
+
+class TestVertexImages:
+    # an isolated vertex is neither a range nor in S: (V*) and (V) v*v=v are
+    # the only instances that can fail there, and both are evaluated
+    def test_self_adjoint_non_idempotent_image(self):
+        algebra = DirectSum((GradedMatrixAlgebra("field", 1, (0,)),))
+        obj = CLObject(Graph(["v"], []), [])
+        report = assert_matches_reference(obj, {"v": algebra.unit(0, 0, 0).scale(2)})
+        assert [f.split(":")[0] for f in report.failures] == ["(V) v*v=v"]
+
+    # an idempotent of degree 0 that is not its own star is no *-homomorphic image
+    def test_non_self_adjoint_idempotent_in_a_field_block(self):
+        algebra = DirectSum((GradedMatrixAlgebra("field", 2, (0, 0)),))
+        p = algebra.unit(0, 0, 0) + algebra.unit(0, 0, 1)
+        assert p * p == p
+        obj = CLObject(Graph(["v"], []), [])
+        report = assert_matches_reference(obj, {"v": p})
+        assert [f.split(":")[0] for f in report.failures] == ["(V*) v*=v"]
+        assert not report.degree_failures
+
+    def test_non_self_adjoint_idempotent_algebra_element(self):
+        # e e* + e f* in the Cohn algebra of two edges v -> u
+        ctx = AlgebraContext(CLObject(Graph(["v", "u"], [("e", "v", "u"), ("f", "v", "u")]), []))
+        p = ctx.edge("e") * ctx.ghost("e") + ctx.edge("e") * ctx.ghost("f")
+        assert p * p == p and set(p.degree_components()) == {0}
+        obj = CLObject(Graph(["w"], []), [])
+        report = assert_matches_reference(obj, {"w": p})
+        assert [f.split(":")[0] for f in report.failures] == ["(V*) w*=w"]
 
 
 class TestImagesInOneAlgebra:
@@ -191,20 +245,19 @@ class TestProductCounts:
         images = build_generator_map(obj).images
         calls = _count_products(monkeypatch)
         assert check_generator_map(obj, images).ok
-        nv, ne = len(obj.graph.vertices), len(obj.graph.edges)
-        # (V) diagonal, four (E1)/(E2) and one (CK1) and (SCK2) product per edge
-        assert calls[0] <= nv + 6 * ne
+        # two (E1), one (CK1) and one (SCK2) product per edge; every vertex is a
+        # range or in S, so no (V) product is evaluated
+        assert calls[0] == 4 * len(obj.graph.edges) == 248
 
     def test_relgraph_verify_is_linear_on_a_tree(self, monkeypatch):
         obj = binary_tree(5)[0]
         calls = _count_products(monkeypatch)
         assert relgraph_verify(obj).ok
         g = obj.graph
-        nv, ne = len(g.vertices), len(g.edges)
-        # as above, plus one product per edge image, plus the (CK1) pairs of
-        # distinct edges with a common source, whose supports meet
+        # as above, plus the (CK1) pairs of distinct edges with a common source,
+        # whose supports meet; the images themselves are built with no product
         siblings = sum(len(g.out_edges(v)) * (len(g.out_edges(v)) - 1) for v in g.vertices)
-        assert calls[0] <= nv + 7 * ne + siblings
+        assert calls[0] == 4 * len(g.edges) + siblings == 310
 
 
 # -- inclusion_injective -----------------------------------------------------

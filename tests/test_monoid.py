@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clpa._linalg import nullspace_basis
 from clpa.errors import NotAnExit
 from clpa.graphs import CLObject, Graph, predicates
 from clpa.monoid import (
@@ -19,6 +20,7 @@ from clpa.monoid import (
     presentation,
     relations_preserved,
 )
+from clpa.scalars import QQ
 
 from conftest import (
     NO_EXIT_CORPUS,
@@ -155,6 +157,41 @@ def test_equal_agrees_with_move_search(seed, data):
             assert answer.common_reduct == (reduct if pres.invariant is None else None)
         else:
             assert answer.verdict == "no"
+
+
+class TestFunctionals:
+    def test_scaled_to_ints(self):
+        # b -> a twice and a loop at a, S = {a, b}: a = a and b = 2a; the
+        # rational nullspace basis is (1/2, 1)
+        g = Graph(["a", "b"], [("e1", "b", "a"), ("e2", "b", "a"), ("c", "a", "a")])
+        functionals = presentation(CLObject(g, ["a", "b"])).functionals
+        assert functionals == [[1, 2]]
+        assert all(type(x) is int for vec in functionals for x in vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_int_functionals_are_positive_multiples_of_the_rational_basis(seed, data):
+    # a positive multiple separates exactly what the rational vector does,
+    # so scaling changes no verdict of equal
+    pres = presentation(random_object(random.Random(seed)))
+    rows = [[p - q for p, q in zip(*pair)] for pair in pres._relation_vectors()]
+    rational = nullspace_basis(rows or [[0] * len(pres.generators)], QQ)
+    assert len(pres.functionals) == len(rational)
+    for scaled, vec in zip(pres.functionals, rational):
+        assert all(type(x) is int for x in scaled)
+        k = next(i for i, x in enumerate(vec) if x)
+        factor = scaled[k] / vec[k]
+        assert factor > 0 and scaled == [factor * x for x in vec]
+    elements = st.lists(st.sampled_from(pres.generators), max_size=4).map(
+        lambda gens: MonoidElement.of(*gens)
+    )
+    for _ in range(5):
+        a, b = data.draw(elements), data.draw(elements)
+        diff = [x - y for x, y in zip(pres._exponents(a), pres._exponents(b))]
+        separated = any(sum(f * d for f, d in zip(vec, diff)) for vec in rational)
+        answer = equal(pres, a, b)
+        assert separated == (answer.separating_functional is not None)
 
 
 def _random_graphs(count: int) -> list:

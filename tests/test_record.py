@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import clpa
 from clpa import expr
@@ -195,3 +197,53 @@ def test_post_init_normalises():
         with pytest.raises(ValueError):
             AlgebraContext(fan, QQ, special=bad)
     assert Monomial(Path("v"), Path("v")).star() == Monomial(Path("v"), Path("v"))
+
+
+# -- Monomial: a flat tuple, not a record ---------------------------------------
+
+
+class TestMonomial:
+    def test_equal_when_built_two_ways(self):
+        ctx = AlgebraContext(NO_EXIT_CORPUS["fan2_leavitt"](), QQ)
+        (product, _), = (ctx.edge("e2") * ctx.ghost("e2")).terms
+        built = Monomial(Path("v", ("e2",)), Path("v", ("e2",)))
+        assert product == built and hash(product) == hash(built)
+        assert product.star().star() == built
+
+    def test_frozen(self):
+        m = Monomial(Path("v", ("e",)), Path("w"))
+        for name in ("left", "right", "degree", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        assert not hasattr(m, "__dict__")
+
+    def test_repr_matches_dataclass(self):
+        left, right = Path("v", ("e",)), Path("w")
+        reference = dataclasses.make_dataclass(
+            "Monomial", ["left", "right"], frozen=True)(left, right)
+        assert repr(Monomial(left, right)) == repr(reference) == (
+            "Monomial(left=Path(source='v', edges=('e',)), right=Path(source='w', edges=()))")
+
+    def test_copy_and_pickle_round_trip(self):
+        m = Monomial(Path("v", ("e", "f")), Path("u", ("g",)))
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and type(twin) is Monomial
+            assert (twin.left, twin.right) == (m.left, m.right)
+
+    def test_star_and_degree(self):
+        p, q = Path("v", ("e", "f")), Path("u", ("g",))
+        m = Monomial(p, q)
+        assert m.star() == Monomial(q, p) and m.star().star() == m
+        assert (m.degree, m.star().degree) == (1, -1)
+        assert (m.left, m.right) == (p, q)
+        assert (str(m), str(Monomial(p, Path("w")))) == ("e.f|g", "e.f")
+
+
+_paths = st.builds(Path, st.sampled_from("uvw"),
+                   st.lists(st.sampled_from("abc"), max_size=3).map(tuple))
+
+
+@given(st.lists(st.builds(Monomial, _paths, _paths), max_size=12))
+def test_monomial_order_is_the_nested_path_order(monomials):
+    nested = sorted(monomials, key=lambda m: (m.left.sort_key(), m.right.sort_key()))
+    assert sorted(monomials) == nested
