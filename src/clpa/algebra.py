@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Optional
 from ._record import Record
 from .errors import ContextMismatch, FieldMismatch, IncompleteMap
 from .graphs import CLObject, Graph, Path, relative_graph
-from .scalars import QQ, Field, Scalar, field_of
+from .scalars import QQ, Field, Scalar
 
 
 class Monomial(tuple):
@@ -308,8 +308,8 @@ class AlgebraElement(Record):
         return _element(self.ctx, out)
 
     def scale(self, a: Scalar) -> "AlgebraElement":
-        if field_of(a) != self.ctx.field:
-            raise ContextMismatch(f"scalar field {field_of(a)!r} vs {self.ctx.field!r}")
+        if not self.ctx.field.contains(a):
+            raise ContextMismatch(f"scalar {a!r} is not in {self.ctx.field!r}")
         if not a:
             return self.ctx.zero_element()
         return AlgebraElement(self.ctx, tuple((m, a * c) for m, c in self.terms))

@@ -197,18 +197,18 @@ def cmd_witness(args) -> int:
     if args.n < 1:
         raise ClpaError(f"chain length --n must be at least 1, got {args.n}")
     obj = load_object(args.graph)
-    facts = predicates(obj.graph)
     if args.kind != "artinian":
-        if not facts.exit_cycles:
+        # the cycle that analyze and monoid certify: the relative graph's first with an exit
+        leavitt = relative_graph(obj).leavitt_object()
+        exit_cycles = predicates(leavitt.graph).exit_cycles
+        if not exit_cycles:
             raise ClpaError("no cycle with an exit in the graph")
-        cycle = facts.exit_cycles[0]
         build = (monoid_mod.cancellation_witness if args.kind == "cancellation"
                  else reports_mod.noetherian_chain_witness)
-        witness = build(obj, cycle, args.n, args.field)
+        witness = build(leavitt, exit_cycles[0], args.n, args.field)
     else:
-        cycle = next(
-            (c for c in facts.cycles if c.vertex_set(obj.graph) <= obj.s_set), None
-        )
+        g = obj.graph
+        cycle = next((c for c in predicates(g).cycles if c.vertex_set(g) <= obj.s_set), None)
         if cycle is None:
             raise ClpaError("no cycle with all vertices in S")
         witness = reports_mod.artinian_failure_witness(obj, cycle, args.n, args.field)

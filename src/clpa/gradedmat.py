@@ -22,7 +22,7 @@ from typing import Optional
 
 from ._record import Record
 from .errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
-from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar, field_of
+from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar
 
 
 class GradedMatrixAlgebra(Record):
@@ -174,8 +174,8 @@ class GradedMatrix:
         return GradedMatrix(self.algebra, _nonzero(out))
 
     def scale(self, a: Scalar) -> "GradedMatrix":
-        if field_of(a) != self.algebra.base:
-            raise FieldMismatch(f"{field_of(a)!r} vs {self.algebra.base!r}")
+        if not self.algebra.base.contains(a):
+            raise FieldMismatch(f"scalar {a!r} is not in {self.algebra.base!r}")
         return GradedMatrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
 
     def star(self) -> "GradedMatrix":

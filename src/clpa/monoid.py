@@ -250,24 +250,42 @@ def _complete(relations: list) -> tuple:
     return system
 
 
-# -- verdicts and witnesses ------------------------------------------------------
+# -- chain witnesses -------------------------------------------------------------
 
 
-class CancellationWitness(Record):
-    """The idempotent chain p_n = c^n (c*)^n exhibiting a cancellation failure.
+class ChainWitness(Record):
+    """A chain of elements along a cycle, with the transcript that proves its claim.
 
-    The monoid identity [v] = [v] + [p_n - p_n+1] with [p_n - p_n+1] nonzero
-    (certified by p_n != p_n+1 at the normal-form level) contradicts
-    cancellativity.  All listed checks were verified in the algebra.
+    ``chain`` is g_n = v - c^n (c^n)* for the noetherian witness, p_n =
+    c^n (c^n)* for the cancellation witness and d_n = (v - c)^n for the
+    artinian one, which also keeps ``powers`` h_n = c^n.  Every statement
+    that a check backs went through :func:`prove`.
     """
 
     base_vertex: str
     cycle: Cycle
-    idempotents: tuple         # p_1 ... p_N as AlgebraElements
+    chain: tuple               # AlgebraElements, n = 1 .. N
     statements: tuple
+    powers: tuple = ()
 
     def transcript(self) -> str:
         return "\n".join(self.statements)
+
+
+def prove(statements: list, holds: bool, statement: str) -> None:
+    """Append ``statement`` to a witness transcript, or raise naming it when it fails."""
+    if not holds:
+        raise ClassificationBug(f"witness check failed: {statement}")
+    statements.append(statement)
+
+
+def cycle_powers(ctx: AlgebraContext, base: str, edges: tuple, count: int) -> list:
+    """``[v, c, ..., c^count]`` for the cycle c along ``edges`` from its base v."""
+    c = ctx.path_element(edges)
+    powers = [ctx.vertex(base)]
+    for _ in range(count):
+        powers.append(powers[-1] * c)
+    return powers
 
 
 def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ):
@@ -294,41 +312,41 @@ def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ)
     exits = {u: [e for e in g.out_edges(u) if e not in on_cycle]
              for u in cycle.vertex_set(g) & obj.s_set}
     ctx = AlgebraContext(obj, field, tuple((u, min(es)) for u, es in exits.items() if es))
-    c = ctx.path_element(based.edges)
-    powers = [ctx.vertex(v)]
-    for _ in range(count):
-        powers.append(powers[-1] * c)
+    powers = cycle_powers(ctx, v, based.edges, count)
     projections = tuple(p * p.star() for p in powers[1:])
     return v, based, tuple(powers), projections
 
 
 def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
-                         field: Field = QQ) -> CancellationWitness:
-    """Verify the cancellation-failure chain along a cycle with an exit."""
+                         field: Field = QQ) -> ChainWitness:
+    """Verify the cancellation-failure chain p_n = c^n (c^n)* along a cycle with an exit.
+
+    The monoid identity [v] = [v] + [p_n - p_n+1] with [p_n - p_n+1] nonzero
+    (certified by p_n != p_n+1 at the normal-form level) contradicts
+    cancellativity.
+    """
     v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
     statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         p, p_next = ps[n - 1], ps[n]
-        checks = {
-            f"p_{n} idempotent": is_idempotent(p),
-            f"p_{n} p_{n+1} = p_{n+1}": p * p_next == p_next,
-            f"p_{n} != p_{n+1}": p != p_next,
-            f"(c^{n})* c^{n} = {v}": powers[n].star() * powers[n] == powers[0],
-        }
-        for label, okay in checks.items():
-            if not okay:
-                raise ClassificationBug(f"cancellation witness check failed: {label}")
-            statements.append(f"checked {label}")
+        prove(statements, is_idempotent(p), f"checked p_{n} idempotent")
+        prove(statements, p * p_next == p_next, f"checked p_{n} p_{n+1} = p_{n+1}")
+        prove(statements, p != p_next, f"checked p_{n} != p_{n+1}")
+        prove(statements, powers[n].star() * powers[n] == powers[0],
+              f"checked (c^{n})* c^{n} = {v}")
         statements.append(f"[{v}] = [p_{n}] = [p_{n+1}] + [p_{n} - p_{n+1}] gives "
                           f"[{v}] = [{v}] + [p_{n} - p_{n+1}] with p_{n} - p_{n+1} != 0")
-    return CancellationWitness(v, based, ps[:n_max], tuple(statements))
+    return ChainWitness(v, based, ps[:n_max], tuple(statements))
+
+
+# -- the verdict -----------------------------------------------------------------
 
 
 class MonoidVerdict(Record):
     atomic_cancellative: bool
     invariant: Optional[dict]          # generator -> path-count vector, when true
     invariant_rank: Optional[int]
-    witness: Optional[CancellationWitness]
+    witness: Optional[ChainWitness]
     justification: str
 
 

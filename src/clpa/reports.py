@@ -23,23 +23,35 @@ from functools import lru_cache
 from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
 from .classify import build_generator_map
-from .errors import ClassificationBug, NoCycle
+from .errors import NoCycle
 from .graphs import CLObject, Cycle, object_to_json, predicates, relative_graph
-from .monoid import exit_cycle_chain
+from .monoid import ChainWitness, cycle_powers, exit_cycle_chain, prove
 from .scalars import QQ, Field
 
 
+# family: (description, the relative-graph predicates that decide it, all of
+# them required, and the justification of its verdict)
+_NO_EXIT, _ACYCLIC = ("no_exit",), ("acyclic",)
 FAMILIES = {
-    "union_matricial": "directed union of graded matricial algebras over K and Laurent rings",
-    "sum_matricial": "direct sum of graded matrix algebras over K and Laurent rings",
-    "union_field": "directed union of graded matricial algebras over K",
-    "sum_field": "direct sum of graded matrix algebras over K",
-    "laurent_sum": "direct sum of graded matrix algebras over Laurent rings only",
-    "projectives": "projective-class monoid structure",
-    "noetherian": "locally/categorically noetherian, graded and non-graded",
-    "baer_socle": "locally Baer / graded self-injective / graded socle (cited equivalences)",
-    "graded_artinian": "graded semisimple and graded locally/categorically artinian",
-    "artinian": "semisimple and locally/categorically artinian (non-graded)",
+    "union_matricial": ("directed union of graded matricial algebras over K and Laurent rings",
+                        _NO_EXIT, "relative graph no-exit"),
+    "sum_matricial": ("direct sum of graded matrix algebras over K and Laurent rings", _NO_EXIT,
+                      "relative graph no-exit (row-finiteness and the infinite-path condition are automatic for finite graphs)"),
+    "union_field": ("directed union of graded matricial algebras over K", _ACYCLIC,
+                    "relative graph acyclic"),
+    "sum_field": ("direct sum of graded matrix algebras over K", _ACYCLIC,
+                  "relative graph acyclic (the infinite-path condition is automatic for finite graphs)"),
+    "laurent_sum": ("direct sum of graded matrix algebras over Laurent rings only",
+                    ("no_exit", "sink_free"), "relative graph no-exit and without sinks"),
+    "projectives": ("projective-class monoid structure", _NO_EXIT, "relative graph no-exit"),
+    "noetherian": ("locally/categorically noetherian, graded and non-graded", _NO_EXIT,
+                   "relative graph no-exit"),
+    "baer_socle": ("locally Baer / graded self-injective / graded socle (cited equivalences)", _NO_EXIT,
+                   "relative graph no-exit; equivalence with the noetherian family is cited, not re-derived here"),
+    "graded_artinian": ("graded semisimple and graded locally/categorically artinian", _NO_EXIT,
+                        "relative graph no-exit"),
+    "artinian": ("semisimple and locally/categorically artinian (non-graded)", _ACYCLIC,
+                 "relative graph acyclic"),
 }
 
 _CONDITIONS = [
@@ -138,7 +150,7 @@ class PropertyReport(Record):
                 "sink_free": self.relative_sink_free,
             },
             "families": {
-                fam: {"description": FAMILIES[fam], "verdict": verdict}
+                fam: {"description": FAMILIES[fam][0], "verdict": verdict}
                 for fam, verdict in sorted(self.family_verdicts().items())
             },
             "conditions": [
@@ -160,42 +172,13 @@ class PropertyReport(Record):
 @lru_cache(maxsize=None)
 def _entries(no_exit: bool, acyclic: bool, sink_free: bool) -> tuple:
     """The condition rows, which depend only on the three relative-graph predicates."""
-    verdict_of_family = {
-        "union_matricial": no_exit,
-        "sum_matricial": no_exit,
-        "union_field": acyclic,
-        "sum_field": acyclic,
-        "laurent_sum": no_exit and sink_free,
-        "projectives": no_exit,
-        "noetherian": no_exit,
-        "baer_socle": no_exit,
-        "graded_artinian": no_exit,
-        "artinian": acyclic,
-    }
-    justification_of_family = {
-        "union_matricial": "relative graph no-exit",
-        "sum_matricial": "relative graph no-exit (row-finiteness and the infinite-path condition are automatic for finite graphs)",
-        "union_field": "relative graph acyclic",
-        "sum_field": "relative graph acyclic (the infinite-path condition is automatic for finite graphs)",
-        "laurent_sum": "relative graph no-exit and without sinks",
-        "projectives": "relative graph no-exit",
-        "noetherian": "relative graph no-exit",
-        "baer_socle": "relative graph no-exit; equivalence with the noetherian family is cited, not re-derived here",
-        "graded_artinian": "relative graph no-exit",
-        "artinian": "relative graph acyclic",
-    }
-
-    return tuple(
-        ConditionEntry(
-            code,
-            family,
-            statement,
-            verdict_of_family[family],
-            justification_of_family[family],
-            citation_only=code in _CITATION_ONLY,
-        )
-        for code, family, statement in _CONDITIONS
-    )
+    facts = {"no_exit": no_exit, "acyclic": acyclic, "sink_free": sink_free}
+    rows = []
+    for code, family, statement in _CONDITIONS:
+        _, deciders, justification = FAMILIES[family]
+        rows.append(ConditionEntry(code, family, statement, all(facts[p] for p in deciders),
+                                   justification, citation_only=code in _CITATION_ONLY))
+    return tuple(rows)
 
 
 def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
@@ -233,20 +216,8 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
 # -- witnesses -------------------------------------------------------------------
 
 
-class NoetherianChainWitness(Record):
-    """g_n = v - c^n (c*)^n generating a strictly increasing graded chain."""
-
-    base_vertex: str
-    cycle: Cycle
-    elements: tuple
-    statements: tuple
-
-    def transcript(self) -> str:
-        return "\n".join(self.statements)
-
-
 def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
-                             field: Field = QQ) -> NoetherianChainWitness:
+                             field: Field = QQ) -> ChainWitness:
     """Prove the corner-ideal chain along a cycle with an exit strictly increasing.
 
     For an idempotent e, x lies in Ae exactly when xe = x.  So g_n g_n = g_n,
@@ -257,57 +228,38 @@ def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
     statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         g_n, g_next = gs[n - 1], gs[n]
-        checks = {
-            f"g_{n} g_{n+1} = g_{n} (the corner ideals are nested)": g_n * g_next == g_n,
-            f"g_{n} idempotent": g_n * g_n == g_n,
-            f"g_{n+1} g_{n} = g_{n} != g_{n+1}": g_next * g_n == g_n != g_next,
-            f"g_{n} homogeneous of degree 0": set(g_n.degree_components()) <= {0},
-        }
-        for label, okay in checks.items():
-            if not okay:
-                raise ClassificationBug(f"noetherian witness check failed: {label}")
-            statements.append(f"checked {label}")
+        prove(statements, g_n * g_next == g_n,
+              f"checked g_{n} g_{n+1} = g_{n} (the corner ideals are nested)")
+        prove(statements, g_n * g_n == g_n, f"checked g_{n} idempotent")
+        prove(statements, g_next * g_n == g_n != g_next, f"checked g_{n+1} g_{n} = g_{n} != g_{n+1}")
+        prove(statements, set(g_n.degree_components()) <= {0},
+              f"checked g_{n} homogeneous of degree 0")
         statements.append(
             f"so g_{n+1} is not in A g_{n} and A g_{n} < A g_{n+1} strictly "
             "(x in Ae iff xe = x for an idempotent e)"
         )
-    return NoetherianChainWitness(v, based, tuple(gs[:n_max]), tuple(statements))
-
-
-class ArtinianFailureWitness(Record):
-    """Chains in the Laurent corner of a cycle.
-
-    ``powers`` are h_n = c^n (with classification images t^n in the cycle
-    block); they certify the corner contains a Laurent ring.  Since the
-    cycle path is a partial isometry with full corner support, the powers
-    generate the whole corner as one-sided ideals, so the non-artinian
-    witness lives in ``chain``: d_n = (v - c)^n, whose images (1 - t)^n in
-    the cycle block prove that its left ideals strictly decrease.  The
-    degree records show why no such chain is graded: h_n is homogeneous of
-    degree n*|c|, and the graded-artinian verdict stays true.
-    """
-
-    base_vertex: str
-    cycle: Cycle
-    powers: tuple
-    chain: tuple
-    statements: tuple
-
-    def transcript(self) -> str:
-        return "\n".join(self.statements)
+    return ChainWitness(v, based, tuple(gs[:n_max]), tuple(statements))
 
 
 def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
-                             field: Field = QQ) -> ArtinianFailureWitness:
-    """Prove that the algebra of a no-exit object is not artinian along a cycle in S."""
+                             field: Field = QQ) -> ChainWitness:
+    """Prove that the algebra of a no-exit object is not artinian along a cycle in S.
+
+    The powers h_n = c^n have classification images t^n in the cycle block;
+    they certify that the corner contains a Laurent ring.  As the cycle path
+    is a partial isometry with full corner support, the powers generate the
+    whole corner as one-sided ideals, so the non-artinian chain is d_n =
+    (v - c)^n, whose images (1 - t)^n prove that its left ideals strictly
+    decrease.  The degrees show why no such chain is graded: h_n is
+    homogeneous of degree n*|c|, and the graded-artinian verdict stays true.
+    """
     g = obj.graph
     base = cycle.base(g)
     if not cycle.vertex_set(g) <= obj.s_set:
         raise NoCycle(f"cycle {cycle} does not have all its vertices in S")
     gmap = build_generator_map(obj, field=field)
-    ctx = gmap.ctx
-    c = ctx.path_element(cycle.edges)
-    vert = ctx.vertex(base)
+    powers = cycle_powers(gmap.ctx, base, cycle.edges, n_max + 1)
+    vert, c = powers[0], powers[1]
     block_index = next(
         i for i, b in enumerate(gmap.blocks) if b.kind == "cycle" and b.cycle == cycle
     )
@@ -317,55 +269,30 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
         return gmap.algebra.unit(block_index, triv, triv, k)
 
     statements = [f"cycle {cycle} based at {base} (length {cycle.length})"]
-    powers = []
-    h = vert
-    for n in range(1, n_max + 2):
-        h = h * c
-        powers.append(h)
     for n in range(1, n_max + 1):
-        if powers[n] != c * powers[n - 1]:
-            raise ClassificationBug(f"h_{n+1} != c h_{n}")
-        statements.append(f"checked h_{n+1} = c h_{n} (nesting of left ideals)")
-        degs = set(powers[n - 1].degree_components())
-        if degs != {n * cycle.length}:
-            raise ClassificationBug(f"h_{n} not homogeneous of degree {n * cycle.length}")
-        statements.append(
-            f"h_{n} is homogeneous of degree {n * cycle.length}: these left ideals "
-            "are graded and their nesting is NOT strictly-decreasing evidence in "
-            "the graded sense; the graded artinian verdict remains true"
-        )
+        prove(statements, powers[n + 1] == c * powers[n],
+              f"checked h_{n+1} = c h_{n} (nesting of left ideals)")
+        prove(statements, set(powers[n].degree_components()) == {n * cycle.length},
+              f"h_{n} is homogeneous of degree {n * cycle.length}: these left ideals "
+              "are graded and their nesting is NOT strictly-decreasing evidence in "
+              "the graded sense; the graded artinian verdict remains true")
     for n in range(1, n_max + 1):
-        if not (gmap.evaluate(powers[n - 1]) - unit(n)).is_zero():
-            raise ClassificationBug(f"classification image of h_{n} is not t^{n}")
-        statements.append(
-            f"classification image of h_{n} is t^{n} times the unit of its block"
-        )
+        prove(statements, (gmap.evaluate(powers[n]) - unit(n)).is_zero(),
+              f"classification image of h_{n} is t^{n} times the unit of its block")
 
-    one_minus = vert - c
-    chain = []
-    d = vert
-    image = unit(0)                    # (1 - t)^n e, built by its recursion
-    for n in range(1, n_max + 2):
-        d = one_minus * d
-        chain.append(d)
+    one_minus, chain = vert - c, []
+    d, image = vert, unit(0)           # d_n = (v - c)^n and its image (1 - t)^n e
     for n in range(1, n_max + 1):
-        d_n, d_next = chain[n - 1], chain[n]
-        if d_next != one_minus * d_n:
-            raise ClassificationBug(f"d_{n+1} != (v - c) d_{n}")
-        image = image - image * unit(1)
-        if not (gmap.evaluate(d_n) - image).is_zero():
-            raise ClassificationBug(f"classification image of d_{n} is not (1 - t)^{n} e")
-        statements.append(
-            f"checked classification image of d_{n} = ({base} - c)^{n} is "
-            f"(1 - t)^{n} e (e the unit of the trivial path in its block)"
-        )
+        d, image = one_minus * d, image - image * unit(1)
+        chain.append(d)
+        prove(statements, (gmap.evaluate(d) - image).is_zero(),
+              f"checked classification image of d_{n} = ({base} - c)^{n} is "
+              f"(1 - t)^{n} e (e the unit of the trivial path in its block)")
         statements.append(
             f"so d_{n} is not in A d_{n+1}, as 1 - t is not a unit of K[t, t^-1]: "
             f"A d_{n+1} < A d_{n} strictly"
         )
-    return ArtinianFailureWitness(
-        base, cycle, tuple(powers[:n_max]), tuple(chain[:n_max]), tuple(statements)
-    )
+    return ChainWitness(base, cycle, tuple(chain), tuple(statements), tuple(powers[1:n_max + 1]))
 
 
 # -- relative graph verification -----------------------------------------------

@@ -193,14 +193,6 @@ QQ = RationalField()
 Field = Union[RationalField, PrimeField]
 
 
-def field_of(a: Scalar) -> Field:
-    if QQ.contains(a):
-        return QQ
-    if isinstance(a, PFElement):
-        return PrimeField(a.p)
-    raise FieldMismatch(f"not a scalar: {a!r}")
-
-
 def field_from_spec(spec: str) -> Field:
     """Build a field from a CLI-style spec: ``q`` or ``gf:p``."""
     spec = spec.strip().lower()
@@ -287,8 +279,8 @@ class LaurentPoly(Record):
         return LaurentPoly.from_dict(self.period, out, self.field)
 
     def scale(self, a: Scalar) -> "LaurentPoly":
-        if field_of(a) != self.field:
-            raise FieldMismatch(f"{field_of(a)!r} vs {self.field!r}")
+        if not self.field.contains(a):
+            raise FieldMismatch(f"scalar {a!r} is not in {self.field!r}")
         return LaurentPoly(self.period, tuple((k, a * c) for k, c in self.terms), self.field)
 
     def star(self) -> "LaurentPoly":

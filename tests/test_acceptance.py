@@ -243,7 +243,7 @@ def test_criterion_7_monoid_verdicts():
     rose_obj = rose()
     cycles = predicates(rose_obj.graph).cycles
     witness = cancellation_witness(rose_obj, cycles[0], 3)
-    assert len(witness.idempotents) == 3
+    assert len(witness.chain) == 3
     _announce(
         7,
         True,

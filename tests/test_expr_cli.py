@@ -18,8 +18,10 @@ from clpa.cli import main
 from clpa.errors import ParseError
 from clpa.expr import parse_expression
 from clpa.graphs import object_to_json
+from clpa.monoid import atomic_cancellative_verdict
+from clpa.reports import report
 
-from conftest import chain, fan, loop
+from conftest import chain, fan, loop, random_object
 
 
 @pytest.fixture
@@ -482,3 +484,26 @@ def test_cli_fuzz_exits_0_2_or_3(case):
             with open(files[key], "w") as fh:
                 fh.write(text)
         assert _exit_code([files.get(a, a) for a in argv]) in (0, 2, 3)
+
+
+def _witness_run(path, kind, n):
+    """Exit code and transcript of ``clpa witness --json``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["witness", path, "--kind", kind, "--n", str(n), "--json"])
+    return code, json.loads(out.getvalue())["transcript"] if code == 0 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_witness_certifies_the_cycle_that_analyze_and_monoid_certify(rng):
+    obj = random_object(rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w") as fh:
+            json.dump(object_to_json(obj), fh)
+        for kind, n, witness in (
+                ("noetherian", 2, report(obj).witnesses.get("noetherian_chain")),
+                ("cancellation", 3, atomic_cancellative_verdict(obj).witness)):
+            want = (2, None) if witness is None else (0, witness.transcript())
+            assert _witness_run(path, kind, n) == want, kind

@@ -58,6 +58,10 @@ def _cli_cases():
     cases.append(("complete_sub-readme", ["complete", str(INPUTS / _GRAPHS["readme"]),
                                           "--sub", sub]))
     cases.append(("iso-a-b", ["iso", sig_a, sig_b]))
+    # a loop outside S: its cycle has an exit only in the relative graph
+    toeplitz = str(INPUTS / "toeplitz.json")
+    for kind in ("noetherian", "cancellation"):
+        cases.append((f"witness_{kind}-toeplitz", ["witness", toeplitz, "--kind", kind]))
     cases.append(("iso-a-a", ["iso", sig_a, sig_a]))
     return [(f"{name}-{form}", argv + extra)
             for name, argv in cases for form, extra in (("table", []), ("json", ["--json"]))]

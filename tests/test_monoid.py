@@ -304,7 +304,7 @@ class TestVerdicts:
         verdict = atomic_cancellative_verdict(rose())
         assert not verdict.atomic_cancellative
         assert verdict.witness is not None
-        assert len(verdict.witness.idempotents) == 3
+        assert len(verdict.witness.chain) == 3
 
     def test_toeplitz_fails(self):
         # no-exit graph, but the empty S breaks the cycle condition: the
@@ -319,7 +319,7 @@ class TestCancellationWitness:
         obj = rose()
         (c1, _) = predicates(obj.graph).cycles
         witness = cancellation_witness(obj, c1, 3)
-        assert len(witness.idempotents) == 3
+        assert len(witness.chain) == 3
         assert "p_1 != p_2" in "\n".join(witness.statements)
 
     def test_no_exit_cycle_rejected(self):

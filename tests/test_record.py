@@ -22,7 +22,8 @@ from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative
 from clpa.classify import blocks_of, build_generator_map, classify_system
 from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
 from clpa.graphs import Path, find_cycles, relative_graph
-from clpa.monoid import MonoidElement, atomic_cancellative_verdict, equal, presentation
+from clpa.monoid import (ChainWitness, MonoidElement, atomic_cancellative_verdict, equal,
+                         presentation)
 from clpa.reports import relgraph_verify, report
 from clpa.scalars import QQ, LaurentPoly, PFElement, PrimeField
 
@@ -122,10 +123,23 @@ def test_corpus_builds_every_record_class():
     assert not missing, sorted(c.__name__ for c in missing)
 
 
-@pytest.fixture(params=sorted(CORPUS_RECORDS, key=lambda c: c.__name__),
-                ids=lambda c: c.__name__)
+def _witness_cases():
+    """One ChainWitness per witness kind, each case named after its witness."""
+    loop, rose = NO_EXIT_CORPUS["loop"](), EXIT_CORPUS["rose2"]()
+    return {
+        "ArtinianFailureWitness": report(loop).witnesses["artinian_failure"],
+        "CancellationWitness": atomic_cancellative_verdict(rose).witness,
+        "NoetherianChainWitness": report(rose).witnesses["noetherian_chain"],
+    }
+
+
+RECORD_CASES = {cls.__name__: r for cls, r in CORPUS_RECORDS.items() if cls is not ChainWitness}
+RECORD_CASES.update(_witness_cases())
+
+
+@pytest.fixture(params=sorted(RECORD_CASES))
 def record(request):
-    return CORPUS_RECORDS[request.param]
+    return RECORD_CASES[request.param]
 
 
 def _values(x):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clpa.algebra import AlgebraContext
-from clpa.errors import DivisionByZero, FieldMismatch, PeriodMismatch
+from clpa.errors import ContextMismatch, DivisionByZero, FieldMismatch, PeriodMismatch
 from clpa.gradedmat import DirectSum, GradedMatrixAlgebra
 from clpa.scalars import (
     QQ,
@@ -18,7 +18,6 @@ from clpa.scalars import (
     PFElement,
     PrimeField,
     field_from_spec,
-    field_of,
 )
 
 from conftest import loop_with_exit, random_element, random_object
@@ -76,12 +75,22 @@ class TestRationalScalars:
 
     def test_contains(self):
         assert QQ.contains(2) and QQ.contains(Fraction(1, 2))
-        assert not QQ.contains(PFElement(1, 5)) and field_of(PFElement(1, 5)) == PrimeField(5)
+        assert not QQ.contains(PFElement(1, 5)) and PrimeField(5).contains(PFElement(1, 5))
+        assert not PrimeField(7).contains(PFElement(1, 5))
         for foreign in (True, 0.5, "1"):
-            assert not QQ.contains(foreign)
-            with pytest.raises(FieldMismatch):
-                field_of(foreign)
-        assert field_of(2) == QQ and field_of(Fraction(1, 3)) == QQ
+            assert not QQ.contains(foreign) and not PrimeField(5).contains(foreign)
+        assert not PrimeField(5).contains(2) and not PrimeField(5).contains(Fraction(1, 3))
+
+    @pytest.mark.parametrize("foreign", [2, PFElement(1, 7), True],
+                             ids=["int", "other_prime", "bool"])
+    def test_scale_refuses_scalars_outside_gf5(self, foreign):
+        gf5 = PrimeField(5)
+        with pytest.raises(ContextMismatch):
+            AlgebraContext(loop_with_exit(), gf5).vertex("v").scale(foreign)
+        with pytest.raises(FieldMismatch):
+            DirectSum((GradedMatrixAlgebra("field", 1, (0,), base=gf5),)).unit(0, 0, 0).scale(foreign)
+        with pytest.raises(FieldMismatch):
+            LaurentPoly.constant(gf5.one, 1, gf5).scale(foreign)
 
     def test_div_is_exact_and_an_int_when_integral(self):
         for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -4, Fraction(-3, 2)), (0, 5, 0),
