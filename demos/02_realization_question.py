@@ -13,7 +13,7 @@ from collections import Counter
 from clpa import classify, decide_graded_iso
 from clpa.classify import check_no_exit_object
 from clpa.gradedmat import GradedMatrixAlgebra
-from clpa.graphs import CLObject, Graph, predicates
+from clpa.graphs import CLObject, Graph
 
 target = GradedMatrixAlgebra("field", 2, (0, 0))
 print(f"target algebra: {target.describe()}")
@@ -31,13 +31,12 @@ def small_objects():
         for mask in range(1 << len(slots)):
             edges = [(f"e{i}", a, b) for i, (a, b) in enumerate(slots) if mask >> i & 1]
             g = Graph(vertices, edges)
-            facts = predicates(g)
-            if not facts.is_no_exit:
+            if g.exit_cycles:
                 continue
             on_cycles = set()
-            for c in facts.cycles:
+            for c in g.cycles:
                 on_cycles |= c.vertex_set(g)
-            free = [v for v in facts.regular_vertices if v not in on_cycles]
+            free = [v for v in g.regular_vertices() if v not in on_cycles]
             for smask in range(1 << len(free)):
                 s = on_cycles | {v for i, v in enumerate(free) if smask >> i & 1}
                 obj = CLObject(g, s)

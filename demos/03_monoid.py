@@ -8,7 +8,7 @@ onto a free commutative monoid.  A cycle with an exit defeats cancellation,
 and the failure is witnessed by an explicit idempotent chain in the algebra.
 """
 
-from clpa.graphs import CLObject, Graph, predicates
+from clpa.graphs import CLObject, Graph
 from clpa.monoid import (
     atomic_cancellative_verdict,
     cancellation_witness,
@@ -73,6 +73,6 @@ obj = CLObject(
           [("a", "v1", "v2"), ("b", "v2", "v1"), ("x", "v1", "w")]),
     ["v1", "v2"],
 )
-cycles = predicates(obj.graph).cycles
+cycles = obj.graph.cycles
 witness = cancellation_witness(obj, cycles[0], 2)
 print(witness.transcript())

@@ -45,7 +45,6 @@ from .graphs import (
     object_from_json,
     object_to_json,
     paths_into,
-    predicates,
     relative_graph,
     subobject_system,
 )

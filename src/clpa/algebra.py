@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Optional
 
 from ._record import Record
 from .errors import ContextMismatch, FieldMismatch, IncompleteMap
-from .graphs import CLObject, Graph, Path, relative_graph
+from .graphs import CLObject, Graph, Path
 from .scalars import QQ, Field, Scalar
 
 
@@ -427,6 +427,12 @@ def _meeting_pairs(names: list, firsts: Mapping, seconds: Mapping):
             yield x, names[j]
 
 
+def edge_projections(graph: Graph, v: str, images: Mapping):
+    """The sum of phi(e) phi(e)* over the edges e that v emits (v must emit one)."""
+    first, *rest = (images[e] * images[e].star() for e in graph.out_edges(v))
+    return sum(rest, first)
+
+
 def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
     """Check every axiom instance of the object at the given images.
 
@@ -503,11 +509,7 @@ def check_generator_map(obj: CLObject, images: Mapping) -> GeneratorMapReport:
         else:
             expect_zero(f"(CK1) {e}*{f}=0", prod)
     for v in sorted(obj.s_set):
-        acc = None
-        for e in g.out_edges(v):
-            term = images[e] * ghosts[e]
-            acc = term if acc is None else acc + term
-        expect_equal(f"(SCK2) {v}=sum ee*", acc, images[v])
+        expect_equal(f"(SCK2) {v}=sum ee*", edge_projections(g, v, images), images[v])
 
     degree_failures = []
     for v in verts:
@@ -534,7 +536,7 @@ def relative_generator_images(
     expansion, each new primed sink v' to v minus that expansion, and edges
     map to themselves corrected on the right by the image of their range.
     """
-    rel = relative_graph(obj)
+    rel = obj.relative
     ctx = AlgebraContext(obj, field)
     g = obj.graph
     unprimed = sorted(rel.primed_vertex)

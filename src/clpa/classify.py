@@ -30,30 +30,27 @@ from .algebra import (
     AlgebraContext,
     AlgebraElement,
     check_generator_map,
+    edge_projections,
     evaluate_element,
 )
 from .errors import ClassificationBug, NotASubgraph, NotNoExitObject
 from .gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
-from .graphs import CLObject, Cycle, Path, SubobjectSystem, paths_into, predicates, subobject_system
+from .graphs import CLObject, Cycle, Path, SubobjectSystem, paths_into, subobject_system
 from .scalars import QQ, Field
 
 
 def check_no_exit_object(obj: CLObject):
     """True iff the graph is no-exit and every cycle vertex lies in S."""
-    violations = _no_exit_violations(obj, predicates(obj.graph))
+    violations = _no_exit_violations(obj)
     return (not violations), violations
 
 
-def _no_exit_violations(obj: CLObject, facts) -> list:
-    violations = []
-    bifs = set(facts.bifurcations)
-    for c in facts.cycles:
-        on_cycle = c.vertex_set(obj.graph)
-        for v in sorted(on_cycle & bifs):
-            violations.append(f"cycle vertex {v} is a bifurcation (the cycle has an exit)")
-        for v in sorted(on_cycle - obj.s_set):
-            violations.append(f"cycle vertex {v} is not in S")
-    return violations
+def _no_exit_violations(obj: CLObject) -> list:
+    g = obj.graph
+    on_cycles = set().union(*(c.vertex_set(g) for c in g.cycles))
+    return ([f"cycle vertex {v} is a bifurcation (the cycle has an exit)"
+             for v in sorted(on_cycles.intersection(g.bifurcations()))]
+            + [f"cycle vertex {v} is not in S" for v in sorted(on_cycles - obj.s_set)])
 
 
 class Block(Record):
@@ -83,17 +80,16 @@ class Block(Record):
 def blocks_of(obj: CLObject) -> tuple:
     """The block decomposition data of a no-exit object (raw, untranslated)."""
     g = obj.graph
-    facts = predicates(g)
-    violations = _no_exit_violations(obj, facts)
+    violations = _no_exit_violations(obj)
     if violations:
         raise NotNoExitObject("; ".join(violations))
     out = []
-    for v in facts.sinks:
+    for v in g.sinks():
         out.append(Block("sink", v, tuple(paths_into(g, v))))
-    for v in facts.regular_vertices:
+    for v in g.regular_vertices():
         if v not in obj.s_set:
             out.append(Block("unrelated", v, tuple(paths_into(g, v))))
-    for c in facts.cycles:
+    for c in g.cycles:
         base = c.base(g)
         out.append(Block("cycle", base, tuple(paths_into(g, base)), cycle=c))
     return tuple(out)
@@ -190,10 +186,7 @@ def uniqueness_conditions(graph, s_set, images) -> dict:
     conditions = {(v, False): images[v] for v in sorted(graph.vertices)}
     for v in graph.regular_vertices():
         if v not in s_set:
-            gap = images[v]
-            for e in graph.out_edges(v):
-                gap = gap - images[e] * images[e].star()
-            conditions[v, True] = gap
+            conditions[v, True] = images[v] - edge_projections(graph, v, images)
     return conditions
 
 
@@ -280,15 +273,7 @@ def inclusion_injective(sub: CLObject, gmap: GeneratorMap):
     if not g.is_subgraph_of(gmap.obj.graph):
         raise NotASubgraph("candidate is not a subgraph of the ambient graph")
     psi = gmap.images
-
-    def edge_sum(v):
-        acc = None
-        for e in g.out_edges(v):
-            term = psi[e] * psi[e].star()
-            acc = term if acc is None else acc + term
-        return acc
-
-    relations = all(edge_sum(v) == psi[v] for v in sorted(sub.s_set))
+    relations = all(edge_projections(g, v, psi) == psi[v] for v in sorted(sub.s_set))
     conditions = uniqueness_conditions(g, sub.s_set, psi).values()
     nonzero = sum(not x.is_zero() for x in conditions)
     return relations and nonzero == len(conditions), len(conditions), nonzero

@@ -22,9 +22,7 @@ from .gradedmat import decide_graded_iso, signature_from_json, signature_to_json
 from .graphs import (
     load_object,
     object_to_json,
-    predicates,
     read_json,
-    relative_graph,
     subobject_system,
     system_to_dot,
 )
@@ -96,7 +94,7 @@ def cmd_analyze(args) -> int:
 def cmd_relgraph(args) -> int:
     obj = load_object(args.graph)
     rep = reports_mod.relgraph_verify(obj, args.field)
-    rel = relative_graph(obj)
+    rel = obj.relative
     if args.json:
         _emit_json(
             {
@@ -199,8 +197,8 @@ def cmd_witness(args) -> int:
     obj = load_object(args.graph)
     if args.kind != "artinian":
         # the cycle that analyze and monoid certify: the relative graph's first with an exit
-        leavitt = relative_graph(obj).leavitt_object()
-        exit_cycles = predicates(leavitt.graph).exit_cycles
+        leavitt = obj.relative.leavitt_object()
+        exit_cycles = leavitt.graph.exit_cycles
         if not exit_cycles:
             raise ClpaError("no cycle with an exit in the graph")
         build = (monoid_mod.cancellation_witness if args.kind == "cancellation"
@@ -208,7 +206,7 @@ def cmd_witness(args) -> int:
         witness = build(leavitt, exit_cycles[0], args.n, args.field)
     else:
         g = obj.graph
-        cycle = next((c for c in predicates(g).cycles if c.vertex_set(g) <= obj.s_set), None)
+        cycle = next((c for c in g.cycles if c.vertex_set(g) <= obj.s_set), None)
         if cycle is None:
             raise ClpaError("no cycle with all vertices in S")
         witness = reports_mod.artinian_failure_witness(obj, cycle, args.n, args.field)

@@ -99,6 +99,12 @@ class Graph(Record):
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
 
+    # every cycle (see find_cycles), found on first read
+    cycles = cached_property(lambda self: find_cycles(self))
+    # the cycles through a bifurcation, in cycle order
+    exit_cycles = cached_property(lambda self: tuple(
+        c for c in self.cycles if any(len(self.out_edges(self.src(e))) >= 2 for e in c.edges)))
+
     # -- paths -------------------------------------------------------------
 
     def path_range(self, p: "Path") -> str:
@@ -236,33 +242,6 @@ def find_cycles(graph: Graph) -> tuple:
     return tuple(sorted(cycles, key=lambda c: (c.length, c.edges)))
 
 
-class GraphFacts(Record):
-    """Exhaustive structural record for a graph."""
-
-    is_acyclic: bool
-    is_no_exit: bool
-    sinks: tuple
-    bifurcations: tuple
-    regular_vertices: tuple
-    cycles: tuple
-    exit_cycles: tuple        # the cycles through a bifurcation, in cycle order
-
-
-def predicates(graph: Graph) -> GraphFacts:
-    cycles = find_cycles(graph)
-    bifs = graph.bifurcations()
-    exit_cycles = tuple(c for c in cycles if not c.vertex_set(graph).isdisjoint(bifs))
-    return GraphFacts(
-        is_acyclic=not cycles,
-        is_no_exit=not exit_cycles,
-        sinks=graph.sinks(),
-        bifurcations=bifs,
-        regular_vertices=graph.regular_vertices(),
-        cycles=cycles,
-        exit_cycles=exit_cycles,
-    )
-
-
 class CLObject(Record):
     """A graph together with a subset S of its regular vertices."""
 
@@ -279,6 +258,9 @@ class CLObject(Record):
             )
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "s_set", ss)
+
+    # the relative graph (see relative_graph), built on first read
+    relative = cached_property(lambda self: relative_graph(self))
 
 
 def paths_into(graph: Graph, target: str) -> list:

@@ -30,8 +30,8 @@ from ._linalg import nullspace_basis
 from ._record import Record
 from .algebra import AlgebraContext, is_idempotent
 from .classify import blocks_of
-from .errors import ClassificationBug, NotAnExit, NotNoExitObject
-from .graphs import CLObject, Cycle, RelativeGraph, predicates, relative_graph
+from .errors import ClassificationBug, NotAnExit
+from .graphs import CLObject, Cycle, RelativeGraph
 from .scalars import QQ, Field
 
 
@@ -110,7 +110,7 @@ class Presentation(Record):
 
 
 def presentation(obj: CLObject) -> Presentation:
-    rel = relative_graph(obj)
+    rel = obj.relative
     g = rel.graph
     relations = tuple((v, MonoidElement.of(*[g.rng(e) for e in g.out_edges(v)]))
                       for v in g.regular_vertices())
@@ -128,10 +128,9 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
     map onto a free commutative monoid (an isomorphism in this case).
     """
     leavitt = pres.rel.leavitt_object()
-    try:
-        blocks = blocks_of(leavitt)
-    except NotNoExitObject:
+    if leavitt.graph.exit_cycles:
         return None
+    blocks = blocks_of(leavitt)
     sources = [Counter(q.source for q in b.paths) for b in blocks]
     return {v: tuple(c[v] for c in sources) for v in sorted(leavitt.graph.vertices)}
 
@@ -367,6 +366,6 @@ def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
         return MonoidVerdict(True, invariant, rank, None, "relative graph is no-exit: the monoid is "
                              f"free commutative on {rank} generators (one per sink and per cycle)")
     leavitt = pres.rel.leavitt_object()
-    witness = cancellation_witness(leavitt, predicates(leavitt.graph).exit_cycles[0])
+    witness = cancellation_witness(leavitt, leavitt.graph.exit_cycles[0])
     return MonoidVerdict(False, None, None, witness,
                          "relative graph has a cycle with an exit: cancellation fails")

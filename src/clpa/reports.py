@@ -24,7 +24,7 @@ from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
 from .classify import build_generator_map
 from .errors import NoCycle
-from .graphs import CLObject, Cycle, object_to_json, predicates, relative_graph
+from .graphs import CLObject, Cycle, object_to_json
 from .monoid import ChainWitness, cycle_powers, exit_cycle_chain, prove
 from .scalars import QQ, Field
 
@@ -183,25 +183,24 @@ def _entries(no_exit: bool, acyclic: bool, sink_free: bool) -> tuple:
 
 def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     """Evaluate every condition family on the relative graph of the object."""
-    rel = relative_graph(obj)
-    facts = predicates(rel.graph)
-    no_exit = facts.is_no_exit
-    acyclic = facts.is_acyclic
-    sink_free = not facts.sinks
+    rel = obj.relative
+    no_exit = not rel.graph.exit_cycles
+    acyclic = not rel.graph.cycles
+    sink_free = not rel.graph.sinks()
     entries = _entries(no_exit, acyclic, sink_free)
 
     notes = []
     witnesses: dict = {}
     if not no_exit:
         witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), facts.exit_cycles[0], field=field)
+            rel.leavitt_object(), rel.graph.exit_cycles[0], field=field)
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "
             "corner left ideals (see the noetherian_chain witness)"
         )
     if no_exit and not acyclic:
         # a no-exit relative graph has the object's cycles, all inside S
-        cycle = facts.cycles[0]
+        cycle = rel.graph.cycles[0]
         witnesses["artinian_failure"] = artinian_failure_witness(obj, cycle, field=field)
         notes.append(
             "cycles are present: the algebra is graded locally artinian but not "

@@ -21,7 +21,7 @@ from clpa.gradedmat import (
     brute_force_iso_oracle,
     decide_graded_iso,
 )
-from clpa.graphs import CLObject, Graph, predicates, relative_graph
+from clpa.graphs import CLObject, Graph, relative_graph
 from clpa.monoid import (
     atomic_cancellative_verdict,
     cancellation_witness,
@@ -86,13 +86,12 @@ def _exhaustive_small_no_exit_objects():
                 if mask >> i & 1
             ]
             g = Graph(vertices, edges)
-            facts = predicates(g)
-            if not facts.is_no_exit:
+            if g.exit_cycles:
                 continue
             on_cycles = set()
-            for c in facts.cycles:
+            for c in g.cycles:
                 on_cycles |= c.vertex_set(g)
-            free = [v for v in facts.regular_vertices if v not in on_cycles]
+            free = [v for v in g.regular_vertices() if v not in on_cycles]
             for smask in range(1 << len(free)):
                 s = on_cycles | {v for i, v in enumerate(free) if smask >> i & 1}
                 obj = CLObject(g, s)
@@ -238,10 +237,10 @@ def test_criterion_7_monoid_verdicts():
         assert relations_preserved(pres, invariant) == [], name
         verdict = atomic_cancellative_verdict(obj)
         assert verdict.atomic_cancellative, name
-        facts = predicates(relative_graph(obj).graph)
-        assert verdict.invariant_rank == len(facts.sinks) + len(facts.cycles), name
+        rg = relative_graph(obj).graph
+        assert verdict.invariant_rank == len(rg.sinks()) + len(rg.cycles), name
     rose_obj = rose()
-    cycles = predicates(rose_obj.graph).cycles
+    cycles = rose_obj.graph.cycles
     witness = cancellation_witness(rose_obj, cycles[0], 3)
     assert len(witness.chain) == 3
     _announce(
@@ -263,13 +262,13 @@ def test_criterion_8_relative_graphs():
         assert rep.ok and rep.vertex_count_ok and rep.edge_count_ok
         ok, _ = check_no_exit_object(obj)
         if ok:
-            assert predicates(relative_graph(obj).graph).is_no_exit
+            assert not relative_graph(obj).graph.exit_cycles
             preserved += 1
     for _ in range(15):
         obj = random_no_exit_object(rng)
         ok, _ = check_no_exit_object(obj)
         if ok:
-            assert predicates(relative_graph(obj).graph).is_no_exit
+            assert not relative_graph(obj).graph.exit_cycles
             preserved += 1
     _announce(
         8,

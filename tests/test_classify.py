@@ -20,7 +20,7 @@ from clpa.classify import (
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
 from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
-from clpa.graphs import CLObject, Graph, predicates
+from clpa.graphs import CLObject, Graph
 from clpa.scalars import QQ, PrimeField
 
 from conftest import (
@@ -128,9 +128,9 @@ class TestSignatures:
         for _ in range(15):
             obj = random_no_exit_object(rng)
             blocks = blocks_of(obj)
-            facts = predicates(obj.graph)
-            unrelated = set(facts.regular_vertices) - set(obj.s_set)
-            assert len(blocks) == len(facts.sinks) + len(unrelated) + len(facts.cycles)
+            g = obj.graph
+            unrelated = set(g.regular_vertices()) - set(obj.s_set)
+            assert len(blocks) == len(g.sinks()) + len(unrelated) + len(g.cycles)
             for b in blocks:
                 assert b.size == len(b.paths) == len(b.shifts)
 
@@ -380,6 +380,18 @@ class TestClassifySystem:
             classify_system(rose())
         with pytest.raises(NotNoExitObject, match="cycle vertex v is not in S"):
             classify_system(loop(False))
+        # each vertex is named once per reason, however many cycles pass through it
+        with pytest.raises(NotNoExitObject) as raised:
+            classify_system(rose(3))
+        assert str(raised.value) == "cycle vertex v is a bifurcation (the cycle has an exit)"
+        two_loops = CLObject(Graph(["v", "u"], [("a", "u", "u"), ("b", "u", "v"), ("c", "v", "u"),
+                                                ("d", "v", "v")]), ["u"])
+        with pytest.raises(NotNoExitObject) as raised:
+            classify_system(two_loops)
+        assert str(raised.value) == (
+            "cycle vertex u is a bifurcation (the cycle has an exit); "
+            "cycle vertex v is a bifurcation (the cycle has an exit); "
+            "cycle vertex v is not in S")
 
 
 SMALL_NO_EXIT = sorted(name for name, make in NO_EXIT_CORPUS.items()

@@ -1,4 +1,4 @@
-"""Graph predicates, path enumeration, complete subobjects, relative graphs."""
+"""Graph cycles and structure, path enumeration, complete subobjects, relative graphs."""
 
 import random
 import time
@@ -17,7 +17,6 @@ from clpa.graphs import (
     object_from_json,
     object_to_json,
     paths_into,
-    predicates,
     relative_graph,
     subobject_system,
 )
@@ -72,22 +71,22 @@ class TestValidation:
 
 class TestPredicates:
     def test_single_loop(self):
-        facts = predicates(loop().graph)
-        assert facts.is_no_exit and not facts.is_acyclic
-        assert len(facts.cycles) == 1 and facts.cycles[0].edges == ("c",)
-        assert facts.sinks == ()
+        g = loop().graph
+        assert not g.exit_cycles and g.cycles
+        assert len(g.cycles) == 1 and g.cycles[0].edges == ("c",)
+        assert g.sinks() == ()
 
     def test_rose_has_exit(self):
-        facts = predicates(rose().graph)
-        assert not facts.is_no_exit
-        assert facts.bifurcations == ("v",)
-        assert len(facts.cycles) == 2  # parallel loops are distinct cycles
+        g = rose().graph
+        assert g.exit_cycles
+        assert g.bifurcations() == ("v",)
+        assert len(g.cycles) == 2  # parallel loops are distinct cycles
 
     def test_fan_acyclic(self):
-        facts = predicates(fan(3).graph)
-        assert facts.is_acyclic and facts.is_no_exit
-        assert set(facts.sinks) == {"u1", "u2", "u3"}
-        assert facts.regular_vertices == ("v",)
+        g = fan(3).graph
+        assert not g.cycles and not g.exit_cycles
+        assert set(g.sinks()) == {"u1", "u2", "u3"}
+        assert g.regular_vertices() == ("v",)
 
     def test_cycle_canonical_rotation(self):
         g = cycle(3).graph
@@ -271,13 +270,12 @@ class TestRelativeGraph:
         seen = 0
         for _ in range(60):
             obj = random_no_exit_object(rng)
-            facts = predicates(obj.graph)
             on_cycles = set()
-            for c in facts.cycles:
+            for c in obj.graph.cycles:
                 on_cycles |= c.vertex_set(obj.graph)
-            if facts.is_no_exit and on_cycles <= obj.s_set:
+            if not obj.graph.exit_cycles and on_cycles <= obj.s_set:
                 seen += 1
-                assert predicates(relative_graph(obj).graph).is_no_exit
+                assert not relative_graph(obj).graph.exit_cycles
         assert seen >= 10
 
     def test_primed_name_freshness(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clpa._linalg import nullspace_basis
 from clpa.errors import NotAnExit
-from clpa.graphs import CLObject, Graph, predicates
+from clpa.graphs import CLObject, Graph
 from clpa.monoid import (
     MonoidElement,
     atomic_cancellative_verdict,
@@ -317,19 +317,19 @@ class TestVerdicts:
 class TestCancellationWitness:
     def test_rose_chain(self):
         obj = rose()
-        (c1, _) = predicates(obj.graph).cycles
+        (c1, _) = obj.graph.cycles
         witness = cancellation_witness(obj, c1, 3)
         assert len(witness.chain) == 3
         assert "p_1 != p_2" in "\n".join(witness.statements)
 
     def test_no_exit_cycle_rejected(self):
         obj = loop()
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         with pytest.raises(NotAnExit):
             cancellation_witness(obj, c, 2)
 
     def test_two_cycle_with_exit(self):
         obj = cycle_with_exit(2)
-        cycles = predicates(obj.graph).cycles
+        cycles = obj.graph.cycles
         witness = cancellation_witness(obj, cycles[0], 2)
         assert witness.base_vertex == "v1"

@@ -17,7 +17,6 @@ from clpa.graphs import (
     find_cycles,
     is_complete_subobject,
     load_object,
-    predicates,
     relative_graph,
 )
 from clpa.monoid import exit_cycle_chain
@@ -76,7 +75,7 @@ def test_relative_graph_count_formulas(obj):
 @given(obj=small_objects())
 def test_no_exit_object_iff_relative_graph_no_exit(obj):
     ok, _ = check_no_exit_object(obj)
-    assert ok == predicates(relative_graph(obj).graph).is_no_exit
+    assert ok == (not relative_graph(obj).graph.exit_cycles)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,13 +85,13 @@ def test_classification_block_bookkeeping(obj):
     if not ok:
         return
     sig = classify(obj)
-    facts = predicates(obj.graph)
-    unrelated = set(facts.regular_vertices) - set(obj.s_set)
-    assert len(sig.field_blocks) == len(facts.sinks) + len(unrelated)
-    assert len(sig.laurent_blocks) == len(facts.cycles)
-    if facts.is_acyclic:
+    g = obj.graph
+    unrelated = set(g.regular_vertices()) - set(obj.s_set)
+    assert len(sig.field_blocks) == len(g.sinks()) + len(unrelated)
+    assert len(sig.laurent_blocks) == len(g.cycles)
+    if not g.cycles:
         assert sig.laurent_blocks == ()
-    if not facts.sinks and set(facts.regular_vertices) <= obj.s_set:
+    if not g.sinks() and set(g.regular_vertices()) <= obj.s_set:
         assert sig.field_blocks == ()
 
 
@@ -193,7 +192,7 @@ def cycles_with_exits(draw):
 
 
 def _assert_chain_stays_small(obj: CLObject, count: int = 50):
-    _, _, powers, projections = exit_cycle_chain(obj, predicates(obj.graph).exit_cycles[0], count)
+    _, _, powers, projections = exit_cycle_chain(obj, obj.graph.exit_cycles[0], count)
     for p in projections:
         assert len(p.terms) == 1
         assert len((powers[0] - p).terms) <= 2

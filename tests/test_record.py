@@ -104,7 +104,7 @@ def _corpus_records():
     _, _, images = relative_generator_images(tail)
     roots = [
         gmap, sig, classify_system(loop), blocks_of(tail), find_cycles(rose.graph),
-        relative_graph(rose), clpa.predicates(rose.graph),
+        relative_graph(rose),
         check_generator_map(tail, images), decide_graded_iso(sig, sig),
         report(loop), report(rose), relgraph_verify(tail), pres,
         equal(pres, pres.element(*pres.generators[:1]), pres.element(*pres.generators[:1])),
@@ -211,6 +211,52 @@ def test_post_init_normalises():
         with pytest.raises(ValueError):
             AlgebraContext(fan, QQ, special=bad)
     assert Monomial(Path("v"), Path("v")).star() == Monomial(Path("v"), Path("v"))
+
+
+# -- cached structure: built once, invisible to the record semantics --------------
+
+
+def _count_calls(monkeypatch, func) -> list:
+    """Wrap ``func`` in every clpa module that binds it; returns its arguments."""
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return func(arg)
+
+    for name, module in list(sys.modules.items()):
+        if name == "clpa" or name.startswith("clpa."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _semantics(x) -> tuple:
+    twin = pickle.loads(pickle.dumps(x))
+    return hash(x), repr(x), pickle.dumps(x), twin == x, copy.copy(x) == x, vars(twin).keys()
+
+
+@pytest.mark.parametrize("name", ["rose2", "cycle_with_tail"])
+def test_relative_graph_and_cycles_built_once(monkeypatch, name):
+    builds = _count_calls(monkeypatch, clpa.graphs.relative_graph)
+    walks = _count_calls(monkeypatch, clpa.graphs.find_cycles)
+    obj = {**NO_EXIT_CORPUS, **EXIT_CORPUS}[name]()
+    before = _semantics(obj), _semantics(obj.graph)
+    report(obj)
+    atomic_cancellative_verdict(obj)
+    relgraph_verify(obj)
+    pres = presentation(obj)
+    x = pres.element(*pres.generators[:1])
+    assert equal(pres, x, x).verdict == "yes"
+    assert len(builds) == 1 and builds[0] is obj
+    obj.graph.exit_cycles  # fills the object's own graph too
+    walked = {id(g) for g in walks}
+    assert len(walks) == len(walked) and {id(obj.graph), id(obj.relative.graph)} <= walked
+    # the caches are filled, yet every record operation (and the pickled twin,
+    # which carries no cache) reads as before
+    assert "relative" in vars(obj) and "exit_cycles" in vars(obj.graph)
+    assert (_semantics(obj), _semantics(obj.graph)) == before
 
 
 # -- Monomial: a flat tuple, not a record ---------------------------------------

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from clpa.errors import NoCycle, NotAnExit, NotNoExitObject
-from clpa.graphs import predicates
 from clpa.reports import (
     artinian_failure_witness,
     noetherian_chain_witness,
@@ -92,7 +91,7 @@ class TestReportVerdicts:
 class TestNoetherianWitness:
     def test_rose_chain(self):
         obj = rose()
-        cycles = predicates(obj.graph).cycles
+        cycles = obj.graph.cycles
         witness = noetherian_chain_witness(obj, cycles[0], 3)
         assert len(witness.chain) == 3
         for n in (1, 2, 3):
@@ -105,13 +104,13 @@ class TestNoetherianWitness:
 
     def test_requires_exit(self):
         obj = loop()
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         with pytest.raises(NotAnExit):
             noetherian_chain_witness(obj, c, 2)
 
     def test_two_cycle_with_exit(self):
         obj = cycle_with_exit(2)
-        cycles = predicates(obj.graph).cycles
+        cycles = obj.graph.cycles
         witness = noetherian_chain_witness(obj, cycles[0], 2)
         assert witness.base_vertex == "v1"
 
@@ -119,7 +118,7 @@ class TestNoetherianWitness:
 class TestArtinianWitness:
     def test_loop_powers_and_chain(self):
         obj = loop()
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         witness = artinian_failure_witness(obj, c, 3)
         assert len(witness.powers) == 3 and len(witness.chain) == 3
         text = witness.transcript()
@@ -131,13 +130,13 @@ class TestArtinianWitness:
 
     def test_two_cycle_images(self):
         obj = cycle(2)
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         witness = artinian_failure_witness(obj, c, 2)
         assert "image of h_2 is t^2" in witness.transcript()
 
     def test_image_check_over_prime_field(self):
         obj = cycle(2)
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         witness = artinian_failure_witness(obj, c, 4, field=PrimeField(2))
         assert "(1 - t)^4 e" in witness.transcript()
         assert witness.chain[0].ctx.field == PrimeField(2)
@@ -146,20 +145,20 @@ class TestArtinianWitness:
         # the loop lies in S but has an exit: graded artinian fails, so there
         # is no artinian-failure witness to give
         obj = loop_with_exit()
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         assert not report(obj).verdict("17l")
         with pytest.raises(NotNoExitObject):
             artinian_failure_witness(obj, c, 2)
 
     def test_requires_cycle_in_s(self):
         obj = loop(False)
-        (c,) = predicates(obj.graph).cycles
+        (c,) = obj.graph.cycles
         with pytest.raises(NoCycle):
             artinian_failure_witness(obj, c, 2)
 
     def test_acyclic_has_no_cycle(self):
         obj = fan(2)
-        assert predicates(obj.graph).cycles == ()
+        assert obj.graph.cycles == ()
 
 
 class TestRelgraphVerify:
