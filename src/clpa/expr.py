@@ -1,6 +1,7 @@
 """Parser for element expressions.
 
-Grammar::
+The grammar has no nesting, so one pattern, ``_TERM``, built from pieces named
+after its lines, reads a whole term::
 
     EXPR  := ['-'] TERM (('+' | '-') TERM)*
     TERM  := [SCALAR '*'] MONO
@@ -8,156 +9,77 @@ Grammar::
     MONO  := PATH ['|' PATH]
     PATH  := id ('.' id)*
 
-A lone vertex id denotes the trivial path at that vertex; ``p|q`` denotes
-p q*.  Ids that collide with the operator characters cannot be referenced.
+:func:`parse_expression` reads every term before it looks up any id.  A syntax
+error quotes the first non-blank character from which no term continues, or
+names the end of the text; a graph error gives the offending id's position.
+A lone vertex id is the trivial path at that vertex; ``p|q`` denotes p q*.
+Ids holding an operator character cannot be referenced.  No two optional
+blank runs stand side by side in ``_TERM``, so matching is linear.
 """
 
 from __future__ import annotations
 
 import re
 
-from ._record import Record
 from .algebra import AlgebraContext, AlgebraElement, Monomial
 from .errors import ParseError
 from .graphs import Path
 
-_TOKEN = re.compile(r"\s*(?:(?P<op>[+\-*/|.])|(?P<atom>[^\s+\-*/|.~]+))")
+_ID = re.compile(r"[^\s+\-*/|.~]+")
+_PATH = rf"{_ID.pattern}(?:\s*\.\s*{_ID.pattern})*"
+_SCALAR = r"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*\s*"
+_MONO = rf"(?P<left>{_PATH})(?:\s*\|\s*(?P<right>{_PATH}))?"
+_TERM = re.compile(rf"\s*(?:(?P<sign>[+-])\s*)?(?P<term>(?:{_SCALAR})?{_MONO})?")
+_BLANKS = re.compile(r"\s*")
 
 
-class _Token(Record):
-    kind: str       # "op" | "atom"
-    text: str
-    pos: int
+def _path(text: str, m: re.Match, group: str, ctx: AlgebraContext) -> Path:
+    g = ctx.graph
+    ids = list(_ID.finditer(text, m.start(group), m.end(group)))
+    if len(ids) == 1 and ids[0][0] in g.vertices:
+        return Path(ids[0][0])
+    kind = "vertex or edge" if len(ids) == 1 else "edge"
+    for t in ids:
+        if not g.has_edge(t[0]):
+            raise ParseError(f"unknown {kind} id {t[0]!r}", t.start())
+    for a, b in zip(ids, ids[1:]):
+        if g.rng(a[0]) != g.src(b[0]):
+            raise ParseError(f"edges {a[0]!r} and {b[0]!r} do not compose", b.start())
+    return Path(g.src(ids[0][0]), tuple(t[0] for t in ids))
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group("op"):
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        else:
-            tokens.append(_Token("atom", m.group("atom"), m.start("atom")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ctx: AlgebraContext):
-        self.text = text
-        self.ctx = ctx
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self, offset: int = 0):
-        k = self.i + offset
-        return self.tokens[k] if k < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> AlgebraElement:
-        if not self.tokens:
-            raise ParseError("empty expression", 0)
-        raw = []
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            sign = -1
-        raw.append(self.term(sign))
-        while self.peek() is not None:
-            op = self.take()
-            if op.kind != "op" or op.text not in "+-":
-                raise ParseError(f"expected '+' or '-', got {op.text!r}", op.pos)
-            raw.append(self.term(-1 if op.text == "-" else 1))
-        return self.ctx.from_raw(raw)
-
-    def term(self, sign: int):
-        coeff = self.ctx.field.from_int(sign)
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a term", len(self.text))
-        if tok.kind == "atom" and re.fullmatch(r"\d+", tok.text):
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == "op" and nxt.text == "*":
-                self.take()
-                self.take()
-                coeff = coeff * self.ctx.field.from_int(int(tok.text))
-            elif (
-                nxt is not None and nxt.kind == "op" and nxt.text == "/"
-                and self.peek(2) is not None and self.peek(2).kind == "atom"
-                and re.fullmatch(r"\d+", self.peek(2).text)
-                and self.peek(3) is not None and self.peek(3).kind == "op"
-                and self.peek(3).text == "*"
-            ):
-                num = int(self.take().text)
-                self.take()
-                den_tok = self.take()
-                den = int(den_tok.text)
-                self.take()
-                field = self.ctx.field
-                if not field.from_int(den):
-                    raise ParseError("zero denominator", den_tok.pos)
-                coeff = field.div(coeff * field.from_int(num), field.from_int(den))
-        mono = self.mono()
-        return (coeff, mono)
-
-    def mono(self) -> Monomial:
-        left = self.path()
-        right = None
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "|":
-            self.take()
-            right = self.path()
-        g = self.ctx.graph
-        if right is None:
-            right = Path(g.path_range(left))
-        if g.path_range(left) != g.path_range(right):
-            raise ParseError(
-                f"paths {left} and {right} have different ranges", self.tokens[self.i - 1].pos
-            )
-        return Monomial(left, right)
-
-    def path(self) -> Path:
-        tok = self.take()
-        if tok.kind != "atom":
-            raise ParseError(f"expected an id, got {tok.text!r}", tok.pos)
-        ids = [tok]
-        while (
-            self.peek() is not None
-            and self.peek().kind == "op"
-            and self.peek().text == "."
-        ):
-            self.take()
-            nxt = self.take()
-            if nxt.kind != "atom":
-                raise ParseError(f"expected an id after '.', got {nxt.text!r}", nxt.pos)
-            ids.append(nxt)
-        g = self.ctx.graph
-        if len(ids) == 1 and ids[0].text in g.vertices:
-            return Path(ids[0].text)
-        for t in ids:
-            if not g.has_edge(t.text):
-                kind = "vertex or edge" if len(ids) == 1 else "edge"
-                raise ParseError(f"unknown {kind} id {t.text!r}", t.pos)
-        for a, b in zip(ids, ids[1:]):
-            if g.rng(a.text) != g.src(b.text):
-                raise ParseError(
-                    f"edges {a.text!r} and {b.text!r} do not compose", b.pos
-                )
-        return Path(g.src(ids[0].text), tuple(t.text for t in ids))
+def _term(text: str, m: re.Match, ctx: AlgebraContext) -> tuple:
+    field, g = ctx.field, ctx.graph
+    coeff = field.from_int(-1 if m["sign"] == "-" else 1)
+    if m["num"]:
+        coeff = coeff * field.from_int(int(m["num"]))
+    if m["den"]:
+        den = field.from_int(int(m["den"]))
+        if not den:
+            raise ParseError("zero denominator", m.start("den"))
+        coeff = field.div(coeff, den)
+    left = _path(text, m, "left", ctx)
+    right = _path(text, m, "right", ctx) if m["right"] else Path(g.path_range(left))
+    if g.path_range(left) != g.path_range(right):
+        last = right.edges[-1] if right.edges else right.source
+        raise ParseError(f"paths {left} and {right} have different ranges",
+                         m.end("right") - len(last))
+    return coeff, Monomial(left, right)
 
 
 def parse_expression(text: str, ctx: AlgebraContext) -> AlgebraElement:
     """Parse an element expression and return its normal form."""
-    return _Parser(text, ctx).parse()
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    terms, pos = [], 0
+    while _BLANKS.match(text, pos).end() < len(text):
+        m = _TERM.match(text, pos)
+        # only the first term goes unsigned, and it may carry '-' but not '+'
+        bad_sign = m["sign"] is None if terms else m["sign"] == "+"
+        if bad_sign or m["term"] is None:
+            at = _BLANKS.match(text, pos if bad_sign else m.end()).end()
+            got = repr(text[at:at + 12]) if at < len(text) else "end of expression"
+            raise ParseError(f"unexpected {got}", at)
+        terms.append(m)
+        pos = m.end()
+    return ctx.from_raw([_term(text, m, ctx) for m in terms])

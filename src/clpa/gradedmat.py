@@ -40,16 +40,13 @@ class GradedMatrixAlgebra(Record):
     def __post_init__(self):
         if self.kind not in ("field", "laurent"):
             raise ValueError(f"bad kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("size must be at least 1")
-        if len(self.shifts) != self.size:
-            raise ValueError("shift vector length must equal the size")
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
-        if self.kind == "laurent":
-            if self.period is None or self.period < 1:
-                raise ValueError("laurent kind needs a positive period")
-        elif self.period is not None:
+        if self.kind == "laurent" and self.period is None:
+            raise ValueError("laurent kind needs a positive period")
+        if self.kind == "field" and self.period is not None:
             raise ValueError("field kind carries no period")
+        shifts = tuple(self.shifts)
+        _check_block(self.size, shifts, () if self.period is None else (self.period,))
+        object.__setattr__(self, "shifts", shifts)
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
         return tpow * (self.period or 0) + self.shifts[i] - self.shifts[j]

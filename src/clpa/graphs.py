@@ -114,15 +114,13 @@ class Graph(Record):
         """The vertex sequence s(e1), ..., s(ek), r(p) (just the source if trivial)."""
         return (p.source,) + tuple(self.rng(e) for e in p.edges)
 
-    def compose(self, p: "Path", q: "Path") -> "Path":
-        if self.path_range(p) != q.source:
-            raise ValueError(f"paths do not compose: {p} then {q}")
-        return Path(p.source, p.edges + q.edges)
-
     def make_path(self, edge_ids: Iterable[str]) -> "Path":
         ids = tuple(edge_ids)
         if not ids:
             raise ValueError("make_path needs at least one edge; use Path(v) for trivial paths")
+        for e in ids:
+            if not self.has_edge(e):
+                raise ValueError(f"unknown edge id {e!r}")
         for a, b in zip(ids, ids[1:]):
             if self.rng(a) != self.src(b):
                 raise ValueError(f"edges {a!r},{b!r} do not compose")

@@ -3,9 +3,9 @@
 A rational is an ``int`` when it is integral and a ``fractions.Fraction``
 only when it is not; a GF(p) scalar is a :class:`PFElement` (p prime, at
 most 2**31).  ``Field.div`` is the only division, as ``/`` on two ints gives
-a float.  A :class:`PFElement` takes a plain int as its residue mod p; any
-other mix of fields raises :class:`~clpa.errors.FieldMismatch`.  The field
-involution is the identity.
+a float.  Any mix of fields, a plain int with a :class:`PFElement` included,
+raises :class:`~clpa.errors.FieldMismatch`.  The field involution is the
+identity.
 
 A Laurent polynomial carries an intrinsic *period* ``n``: the generator ``t``
 stands for a degree-``n`` homogeneous element, so the term ``a*t^k`` is
@@ -67,8 +67,6 @@ class PFElement(Record):
         return hash((self.value, self.p))
 
     def _check(self, other: "PFElement") -> "PFElement":
-        if isinstance(other, int):
-            return PFElement(other, self.p)
         if not isinstance(other, PFElement):
             raise FieldMismatch(f"cannot combine GF({self.p}) with {type(other).__name__}")
         if other.p != self.p:
@@ -101,6 +99,8 @@ class PFElement(Record):
         return PFElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
 
     def __rtruediv__(self, other):
+        if self.value == 0:
+            raise DivisionByZero(f"division by zero in GF({self.p})")
         return self._check(other) / self
 
     def __neg__(self):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clpa.algebra import AlgebraContext
+from clpa.algebra import AlgebraContext, Monomial
 from clpa.cli import main
 from clpa.errors import ParseError
 from clpa.expr import parse_expression
-from clpa.graphs import object_to_json
+from clpa.graphs import Path, object_to_json
 from clpa.monoid import atomic_cancellative_verdict
 from clpa.reports import report
 
@@ -76,6 +76,100 @@ class TestExpressions:
 
     def test_zero_expressible(self, fan_ctx):
         assert parse_expression("v - v", fan_ctx).is_zero()
+
+
+_BLANK = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def _path_text(draw, g, end):
+    """A random path into ``end``, walked backwards, with its text."""
+    edges = []
+    for _ in range(draw(st.integers(0, 3))):
+        into = g.in_edges(g.src(edges[0]) if edges else end)
+        if not into:
+            break
+        edges.insert(0, draw(st.sampled_from(into)))
+    if not edges:
+        return Path(end), end
+    dot = draw(_BLANK) + "." + draw(_BLANK)
+    return g.make_path(edges), dot.join(edges)
+
+
+@st.composite
+def _expression(draw):
+    """Expression text drawn from the grammar, with the (coefficient, monomial) terms it means."""
+    ctx = AlgebraContext(random_object(draw(st.randoms(use_true_random=False))))
+    g, field, blank = ctx.graph, ctx.field, lambda: draw(_BLANK)
+    text, terms = "", []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from("-+" if k else ["", "-"]))
+        coeff = field.from_int(-1 if sign == "-" else 1)
+        text += blank() + sign + blank()
+        if draw(st.booleans()):
+            num, den = draw(st.integers(0, 30)), draw(st.one_of(st.none(), st.integers(1, 9)))
+            coeff = coeff * field.from_int(num)
+            if den is None:
+                text += f"{num}{blank()}*{blank()}"
+            else:
+                coeff = field.div(coeff, field.from_int(den))
+                text += f"{num}{blank()}/{blank()}{den}{blank()}*{blank()}"
+        end = draw(st.sampled_from(sorted(g.vertices)))
+        left, left_text = draw(_path_text(g, end))
+        right, right_text = draw(_path_text(g, end))
+        if right.edges or draw(st.booleans()):
+            text += f"{left_text}{blank()}|{blank()}{right_text}"
+        else:
+            text += left_text
+        terms.append((coeff, Monomial(left, right)))
+    return ctx, text + blank(), terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_expression())
+def test_grammar_round_trip(case):
+    ctx, text, terms = case
+    assert parse_expression(text, ctx) == ctx.from_raw(terms)
+
+
+_FAN_CTX = AlgebraContext(fan(2, s_on=True))
+_ALPHABET = ["v", "u1", "e1", "e2", "ghost", "0", "2", "13",
+             "+", "-", "*", "/", "|", ".", "~", " ", "  ", "\t"]
+
+
+@example(text="v ~")
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(_ALPHABET), max_size=10).map("".join))
+def test_random_text_parses_or_names_a_nonblank_position(text):
+    try:
+        parse_expression(text, _FAN_CTX)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+        if not str(err).startswith("empty expression"):
+            assert err.position == len(text) or not text[err.position].isspace(), str(err)
+
+
+_N = 10**5
+_LONG_INPUTS = {
+    "blanks then ~": (" " * (_N - 1) + "~", _N - 1),
+    "' .' runs": (("v" + " ." * _N)[:_N], 2),
+    "20 000-edge path": (" . ".join(["c"] * 20_000).ljust(_N), lambda ctx: ctx.path_element(["c"] * 20_000)),
+    "5 000 terms": (" + ".join(["v"] * 5_000).ljust(_N), lambda ctx: ctx.vertex("v").scale(5_000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_INPUTS))
+def test_long_input_under_one_second(name):
+    ctx = AlgebraContext(loop())
+    text, want = _LONG_INPUTS[name]
+    assert len(text) == _N
+    start = time.perf_counter()
+    try:
+        got = parse_expression(text, ctx)
+    except ParseError as err:
+        got = err.position
+    assert time.perf_counter() - start < 1.0
+    assert got == (want if isinstance(want, int) else want(ctx))
 
 
 def run_cli(args, tmp_path=None):

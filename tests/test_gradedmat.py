@@ -179,6 +179,21 @@ class TestSignature:
         with pytest.raises(GraphFormatError):
             signature_from_json({key: [block]})
 
+    @pytest.mark.parametrize("kind, size, shifts, period", [
+        ("field", 2, (0.5, 1), None),
+        ("field", 2, (True, 1), None),
+        ("field", 2.0, (0, 1), None),
+        ("field", 0, (), None),
+        ("field", 2, (0,), None),
+        ("laurent", 1, (0,), 0),
+        ("laurent", 1, (0,), 2.0),
+        ("laurent", 1, (0,), None),
+        ("field", 1, (0,), 1),
+    ])
+    def test_malformed_block_descriptor_rejected(self, kind, size, shifts, period):
+        with pytest.raises(ValueError):
+            GradedMatrixAlgebra(kind, size, shifts, period=period)
+
 
 class TestDecideGradedIso:
     def test_realization_counterexample(self):

@@ -47,6 +47,11 @@ class TestValidation:
             with pytest.raises(GraphFormatError):
                 Graph([bad], [])
 
+    @pytest.mark.parametrize("ids", [["zz"], ["c", "zz"]])
+    def test_make_path_names_an_unknown_edge(self, ids):
+        with pytest.raises(ValueError, match="unknown edge id 'zz'"):
+            loop().graph.make_path(ids)
+
     def test_s_must_be_regular(self):
         with pytest.raises(GraphFormatError):
             CLObject(Graph(["v"], []), ["v"])

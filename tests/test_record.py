@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import clpa
-from clpa import expr
 from clpa._record import FrozenRecordError, Record
 from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative_generator_images
 from clpa.classify import blocks_of, build_generator_map, classify_system
@@ -109,7 +108,6 @@ def _corpus_records():
         report(loop), report(rose), relgraph_verify(tail), pres,
         equal(pres, pres.element(*pres.generators[:1]), pres.element(*pres.generators[:1])),
         atomic_cancellative_verdict(rose), atomic_cancellative_verdict(loop),
-        expr._tokenize("v + 2 * c|c"),
         DirectSum((GradedMatrixAlgebra("laurent", 1, (0,), 1),)).unit(0, 0, 0, 1).entry(0, 0),
     ]
     return _records_in(*roots)

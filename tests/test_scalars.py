@@ -43,6 +43,12 @@ class TestScalarArith:
             Fraction(1) + PFElement(1, 5)
         with pytest.raises(FieldMismatch):
             PFElement(1, 5) + PFElement(1, 7)
+        with pytest.raises(FieldMismatch):
+            QQ.one + PFElement(1, 5)
+        with pytest.raises(FieldMismatch):
+            PFElement(1, 5) * 7
+        with pytest.raises(FieldMismatch):
+            3 - PFElement(1, 5)
 
     def test_reduced_representation(self):
         # Fraction keeps rationals reduced with positive denominators
