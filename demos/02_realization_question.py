@@ -11,7 +11,7 @@ vertices and reports the distinguishing degree for each.
 from collections import Counter
 
 from clpa import classify, decide_graded_iso
-from clpa.classify import check_no_exit_object
+from clpa.classify import no_exit_violations
 from clpa.gradedmat import GradedMatrixAlgebra
 from clpa.graphs import CLObject, Graph
 
@@ -35,12 +35,12 @@ def small_objects():
                 continue
             on_cycles = set()
             for c in g.cycles:
-                on_cycles |= c.vertex_set(g)
+                on_cycles.update(g.path_vertices(c))
             free = [v for v in g.regular_vertices() if v not in on_cycles]
             for smask in range(1 << len(free)):
                 s = on_cycles | {v for i, v in enumerate(free) if smask >> i & 1}
                 obj = CLObject(g, s)
-                if check_no_exit_object(obj)[0]:
+                if not no_exit_violations(obj):
                     yield obj
 
 

@@ -17,9 +17,9 @@ from .algebra import (
 )
 from .classify import (
     build_generator_map,
-    check_no_exit_object,
     classify,
     classify_system,
+    no_exit_violations,
 )
 from .errors import ClpaError
 from .expr import parse_expression
@@ -36,7 +36,6 @@ from .gradedmat import (
 )
 from .graphs import (
     CLObject,
-    Cycle,
     Graph,
     Path,
     complete,

@@ -56,12 +56,9 @@ def _reduce(rows, field: Field) -> list:
     return pivots
 
 
-def nullspace_basis(rows, field: Field):
-    """Basis of {x : M x = 0} for a dense row-list M over the field."""
-    if not rows:
-        return []
+def nullspace_basis(rows, ncols: int, field: Field):
+    """Basis of {x : M x = 0} for a dense row-list M with ``ncols`` columns."""
     m = [list(r) for r in rows]
-    ncols = len(m[0])
     pivots = _reduce(m, field)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -376,9 +376,12 @@ class GeneratorMapReport(Record):
         return not self.failures and not self.degree_failures
 
 
-def _eval_path(source: str, edges: tuple, images: Mapping):
+def path_image(path: Path, images: Mapping):
+    """The image of a path: that of its source if trivial, else the product
+    of its edges' images."""
+    edges = path.edges
     if not edges:
-        return images[source]
+        return images[path.source]
     acc = images[edges[0]]
     for e in edges[1:]:
         acc = acc * images[e]
@@ -386,10 +389,10 @@ def _eval_path(source: str, edges: tuple, images: Mapping):
 
 
 def evaluate_monomial(m: Monomial, images: Mapping):
-    left = _eval_path(m[2], m[1], images)
+    left = path_image(m.left, images)
     if not m[3]:
         return left
-    return left * _eval_path(m[5], m[4], images).star()
+    return left * path_image(m.right, images).star()
 
 
 def evaluate_element(x: AlgebraElement, images: Mapping):

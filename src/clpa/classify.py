@@ -32,22 +32,19 @@ from .algebra import (
     check_generator_map,
     edge_projections,
     evaluate_element,
+    path_image,
 )
 from .errors import ClassificationBug, NotASubgraph, NotNoExitObject
 from .gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature
-from .graphs import CLObject, Cycle, Path, SubobjectSystem, paths_into, subobject_system
+from .graphs import CLObject, Path, SubobjectSystem, paths_into, subobject_system
 from .scalars import QQ, Field
 
 
-def check_no_exit_object(obj: CLObject):
-    """True iff the graph is no-exit and every cycle vertex lies in S."""
-    violations = _no_exit_violations(obj)
-    return (not violations), violations
-
-
-def _no_exit_violations(obj: CLObject) -> list:
+def no_exit_violations(obj: CLObject) -> list:
+    """Why the object is not no-exit: empty iff the graph is no-exit and
+    every cycle vertex lies in S."""
     g = obj.graph
-    on_cycles = set().union(*(c.vertex_set(g) for c in g.cycles))
+    on_cycles = set().union(*(g.path_vertices(c) for c in g.cycles))
     return ([f"cycle vertex {v} is a bifurcation (the cycle has an exit)"
              for v in sorted(on_cycles.intersection(g.bifurcations()))]
             + [f"cycle vertex {v} is not in S" for v in sorted(on_cycles - obj.s_set)])
@@ -59,7 +56,7 @@ class Block(Record):
     kind: str                     # "sink" | "unrelated" | "cycle"
     target: str                   # the sink / S-complement vertex / cycle base
     paths: tuple                  # all paths into the target, sorted by length
-    cycle: Optional[Cycle] = None
+    cycle: Optional[Path] = None
 
     @property
     def size(self) -> int:
@@ -80,7 +77,7 @@ class Block(Record):
 def blocks_of(obj: CLObject) -> tuple:
     """The block decomposition data of a no-exit object (raw, untranslated)."""
     g = obj.graph
-    violations = _no_exit_violations(obj)
+    violations = no_exit_violations(obj)
     if violations:
         raise NotNoExitObject("; ".join(violations))
     out = []
@@ -90,8 +87,7 @@ def blocks_of(obj: CLObject) -> tuple:
         if v not in obj.s_set:
             out.append(Block("unrelated", v, tuple(paths_into(g, v))))
     for c in g.cycles:
-        base = c.base(g)
-        out.append(Block("cycle", base, tuple(paths_into(g, base)), cycle=c))
+        out.append(Block("cycle", c.source, tuple(paths_into(g, c.source)), cycle=c))
     return tuple(out)
 
 
@@ -231,9 +227,7 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
                 image_of[q] = images[w]
         lefts = [[(image_of[q] * mid, 0)] for q in b.paths]
         if b.kind == "cycle":
-            cyc = images[b.cycle.edges[0]]
-            for e in b.cycle.edges[1:]:
-                cyc = cyc * images[e]
+            cyc = path_image(b.cycle, images)
             for q, row in zip(b.paths, lefts):
                 row.append((image_of[q] * cyc * mid, 1))
                 row.append((image_of[q] * mid * cyc.star(), -1))

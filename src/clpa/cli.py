@@ -206,7 +206,7 @@ def cmd_witness(args) -> int:
         witness = build(leavitt, exit_cycles[0], args.n, args.field)
     else:
         g = obj.graph
-        cycle = next((c for c in g.cycles if c.vertex_set(g) <= obj.s_set), None)
+        cycle = next((c for c in g.cycles if obj.s_set.issuperset(g.path_vertices(c))), None)
         if cycle is None:
             raise ClpaError("no cycle with all vertices in S")
         witness = reports_mod.artinian_failure_witness(obj, cycle, args.n, args.field)

@@ -78,10 +78,14 @@ class DirectSum(Record):
         return sum(alg.size for alg in self.summands)
 
     def zero(self) -> "GradedMatrix":
-        return GradedMatrix(self, {})
+        return _matrix(self, {})
 
     def unit(self, block: int, i: int, j: int, tpow: int = 0) -> "GradedMatrix":
         """The matrix unit e_ij t^tpow of summand ``block``; 0-indexed."""
+        self._check_unit(block, i, j, tpow)
+        return _matrix(self, {(block, i, j, tpow): self.base.one})
+
+    def _check_unit(self, block: int, i: int, j: int, tpow: int = 0) -> None:
         if not 0 <= block < len(self.summands):
             raise IndexError(f"block {block} outside a sum of {len(self.summands)}")
         alg = self.summands[block]
@@ -89,7 +93,6 @@ class DirectSum(Record):
             raise IndexError(f"unit ({i}, {j}) outside a size-{alg.size} block")
         if alg.kind == "field" and tpow != 0:
             raise ValueError("no t in a field block")
-        return GradedMatrix(self, {(block, i, j, tpow): self.base.one})
 
 
 def component_dim(algebra: GradedMatrixAlgebra, delta: int) -> int:
@@ -110,13 +113,21 @@ def _nonzero(terms: dict) -> dict:
 class GradedMatrix:
     """A finite sum of matrix units of a :class:`DirectSum`: ``terms`` maps
     (block, i, j, k) to the nonzero coefficient of e_ij t^k in that summand
-    (k = 0 in field blocks)."""
+    (k = 0 in field blocks).  The constructor refuses a coefficient outside
+    the base field and a key that :meth:`DirectSum.unit` refuses, and drops
+    zero coefficients; arithmetic builds its results through ``_matrix``."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra, terms: dict):
+    def __init__(self, algebra: DirectSum, terms: dict):
+        base = algebra.base
+        foreign = [a for a in terms.values() if not base.contains(a)]
+        if foreign:
+            raise FieldMismatch(f"coefficient {foreign[0]!r} is not in {base!r}")
+        for u in terms:
+            algebra._check_unit(*u)
         self.algebra = algebra
-        self.terms = terms
+        self.terms = _nonzero(terms)
 
     def _check(self, other: "GradedMatrix") -> None:
         if not isinstance(other, GradedMatrix):
@@ -147,7 +158,7 @@ class GradedMatrix:
         for u, b in other.terms.items():
             a = out.get(u)
             out[u] = b if a is None else a + b
-        return GradedMatrix(self.algebra, _nonzero(out))
+        return _matrix(self.algebra, _nonzero(out))
 
     def __sub__(self, other):
         self._check(other)
@@ -155,7 +166,7 @@ class GradedMatrix:
         for u, b in other.terms.items():
             a = out.get(u)
             out[u] = -b if a is None else a - b
-        return GradedMatrix(self.algebra, _nonzero(out))
+        return _matrix(self.algebra, _nonzero(out))
 
     def __mul__(self, other):
         self._check(other)
@@ -168,16 +179,16 @@ class GradedMatrix:
                 u = (blk, i, l, k1 + k2)
                 c = out.get(u)
                 out[u] = a * b if c is None else c + a * b
-        return GradedMatrix(self.algebra, _nonzero(out))
+        return _matrix(self.algebra, _nonzero(out))
 
     def scale(self, a: Scalar) -> "GradedMatrix":
         if not self.algebra.base.contains(a):
             raise FieldMismatch(f"scalar {a!r} is not in {self.algebra.base!r}")
-        return GradedMatrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
+        return _matrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
 
     def star(self) -> "GradedMatrix":
         """The *-transpose: transpose, with t^k -> t^-k (the field involution is the identity)."""
-        return GradedMatrix(self.algebra, {
+        return _matrix(self.algebra, {
             (blk, j, i, -k): a for (blk, i, j, k), a in self.terms.items()})
 
     def support(self) -> tuple:
@@ -194,14 +205,14 @@ class GradedMatrix:
         return not self.terms
 
     def zero(self) -> "GradedMatrix":
-        return GradedMatrix(self.algebra, {})
+        return _matrix(self.algebra, {})
 
     def degree_components(self) -> dict:
         summands = self.algebra.summands
         out: dict = {}
         for u, a in self.terms.items():
             out.setdefault(summands[u[0]].unit_degree(*u[1:]), {})[u] = a
-        return {delta: GradedMatrix(self.algebra, terms)
+        return {delta: _matrix(self.algebra, terms)
                 for delta, terms in sorted(out.items())}
 
     def __str__(self):
@@ -209,6 +220,18 @@ class GradedMatrix:
             "[" + "; ".join(", ".join(str(self.entry(i, j, b)) for j in range(alg.size))
                             for i in range(alg.size)) + "]"
             for b, alg in enumerate(self.algebra.summands))
+
+
+def _matrix(algebra: DirectSum, terms: dict) -> GradedMatrix:
+    """The matrix of valid units with nonzero coefficients, unchecked."""
+    m = _new(GradedMatrix)
+    m.algebra = algebra
+    m.terms = terms
+    return m
+
+
+# builds a GradedMatrix past its checking constructor
+_new = object.__new__
 
 
 # -- the classification invariant ---------------------------------------------

@@ -6,8 +6,9 @@ the full Cuntz-Krieger relation is imposed exactly at the vertices of S.
 
 Everything here is immutable and id-based: vertices and edges are nonempty
 strings without whitespace or any of ``| . ~``.  Multigraphs (parallel edges,
-several loops at one vertex) are fully supported, which is why cycles are
-stored as edge sequences, not vertex sequences.
+several loops at one vertex) are fully supported, which is why a cycle is
+stored as an edge sequence, not a vertex sequence: the :class:`Path` around
+it from its base, the smallest vertex id on it.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ class Path(Record):
     def __len__(self):
         return len(self.edges)
 
+    length = property(__len__)
+
     @property
     def is_trivial(self) -> bool:
         return not self.edges
@@ -164,35 +167,16 @@ class Path(Record):
 _set_path_source, _set_path_edges = Path.source.__set__, Path.edges.__set__
 
 
-class Cycle(Record):
-    """A cycle in canonical rotation: starts at its smallest vertex id."""
-
-    edges: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def base(self, graph: Graph) -> str:
-        """The canonical base vertex (the smallest vertex id on the cycle)."""
-        return graph.src(self.edges[0])
-
-    def vertex_set(self, graph: Graph) -> frozenset:
-        return frozenset(graph.src(e) for e in self.edges)
-
-    def __str__(self):
-        return ".".join(self.edges)
-
-
 def find_cycles(graph: Graph) -> tuple:
     """All cycles (closed paths with pairwise distinct sources), canonical order.
 
-    Each cycle is anchored at its minimal vertex so every cycle is produced
-    exactly once; parallel edges give distinct cycles.  The walks run only
-    in the core: the vertices left after repeatedly trimming those that emit
-    or receive no edge of what remains.  No cycle passes through a trimmed
-    vertex, and once every cycle through an anchor is found the anchor is
-    trimmed too, so a later walk never enters it or what it alone kept alive.
+    Each cycle is the closed :class:`Path` from its minimal vertex, its
+    base, so every cycle is produced exactly once; parallel edges give
+    distinct cycles.  The walks run only in the core: the vertices left
+    after repeatedly trimming those that emit or receive no edge of what
+    remains.  No cycle passes through a trimmed vertex, and once every cycle
+    through an anchor is found the anchor is trimmed too, so a later walk
+    never enters it or what it alone kept alive.
     """
     core = set(graph.vertices)
     n_out = {v: len(graph.out_edges(v)) for v in core}
@@ -231,13 +215,13 @@ def find_cycles(graph: Graph) -> tuple:
                 continue
             nxt = graph.rng(eid)
             if nxt == anchor:
-                cycles.append(Cycle(tuple(edges) + (eid,)))
+                cycles.append(Path(anchor, tuple(edges) + (eid,)))
             elif nxt in core and nxt not in on_path:
                 edges.append(eid)
                 on_path.add(nxt)
                 stack.append(iter(graph.out_edges(nxt)))
         trim([anchor])
-    return tuple(sorted(cycles, key=lambda c: (c.length, c.edges)))
+    return tuple(sorted(cycles, key=Path.sort_key))
 
 
 class CLObject(Record):
@@ -306,7 +290,8 @@ def is_complete_subobject(sub: CLObject, ambient: CLObject):
     Returns ``(ok, violations)`` where violations name offending vertices.
     The condition: T is contained in S, and whenever a vertex v of S appears
     in the subgraph with at least one of its ambient out-edges, then *all*
-    its ambient out-edges are present and v lies in T.
+    its ambient out-edges are present and v lies in T.  A vertex of T always
+    emits an edge of F, as :class:`CLObject` holds T to regular vertices.
     """
     F, T = sub.graph, sub.s_set
     E, S = ambient.graph, ambient.s_set
@@ -326,8 +311,6 @@ def is_complete_subobject(sub: CLObject, ambient: CLObject):
                 )
             if v not in T:
                 violations.append(f"{v}: emits edges in the subgraph but is not in T")
-        elif v in T:
-            violations.append(f"{v}: in T but emits no edge in the subgraph")
     return (not violations), violations
 
 

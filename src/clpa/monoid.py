@@ -31,7 +31,7 @@ from ._record import Record
 from .algebra import AlgebraContext, is_idempotent
 from .classify import blocks_of
 from .errors import ClassificationBug, NotAnExit
-from .graphs import CLObject, Cycle, RelativeGraph
+from .graphs import CLObject, Path, RelativeGraph
 from .scalars import QQ, Field
 
 
@@ -102,7 +102,7 @@ class Presentation(Record):
         Each rational basis vector is scaled by the lcm of its denominators.
         """
         rows = [[p - q for p, q in zip(*pair)] for pair in self._relation_vectors()]
-        basis = nullspace_basis(rows or [[0] * len(self.generators)], QQ)
+        basis = nullspace_basis(rows, len(self.generators), QQ)
         scales = [lcm(*(x.denominator for x in vec)) for vec in basis]
         return [[int(x * d) for x in vec] for vec, d in zip(basis, scales)]
 
@@ -255,14 +255,14 @@ def _complete(relations: list) -> tuple:
 class ChainWitness(Record):
     """A chain of elements along a cycle, with the transcript that proves its claim.
 
+    ``cycle`` is the closed path c from the vertex v the chain is based at.
     ``chain`` is g_n = v - c^n (c^n)* for the noetherian witness, p_n =
     c^n (c^n)* for the cancellation witness and d_n = (v - c)^n for the
     artinian one, which also keeps ``powers`` h_n = c^n.  Every statement
     that a check backs went through :func:`prove`.
     """
 
-    base_vertex: str
-    cycle: Cycle
+    cycle: Path
     chain: tuple               # AlgebraElements, n = 1 .. N
     statements: tuple
     powers: tuple = ()
@@ -278,21 +278,21 @@ def prove(statements: list, holds: bool, statement: str) -> None:
     statements.append(statement)
 
 
-def cycle_powers(ctx: AlgebraContext, base: str, edges: tuple, count: int) -> list:
-    """``[v, c, ..., c^count]`` for the cycle c along ``edges`` from its base v."""
-    c = ctx.path_element(edges)
-    powers = [ctx.vertex(base)]
+def cycle_powers(ctx: AlgebraContext, cycle: Path, count: int) -> list:
+    """``[v, c, ..., c^count]`` for the cycle c, a closed path from v."""
+    c = ctx.path_element(cycle.edges)
+    powers = [ctx.vertex(cycle.source)]
     for _ in range(count):
         powers.append(powers[-1] * c)
     return powers
 
 
-def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ):
+def exit_cycle_chain(obj: CLObject, cycle: Path, count: int, field: Field = QQ):
     """The cycle rebased at its first exit v, with c^n and p_n = c^n (c^n)*.
 
-    Returns ``(v, based, powers, projections)``: ``based`` is the rebased
-    cycle, ``powers[n]`` is c^n for n = 0..count (``powers[0]`` is v) and
-    ``projections[n-1]`` is p_n for n = 1..count.
+    Returns ``(based, powers, projections)``: ``based`` is the cycle as the
+    closed path from v, ``powers[n]`` is c^n for n = 0..count (``powers[0]``
+    is v) and ``projections[n-1]`` is p_n for n = 1..count.
 
     The elements live in a context whose special edge, at every S-vertex of
     the cycle with an exit, is the smallest edge leaving the cycle (elsewhere
@@ -302,21 +302,22 @@ def exit_cycle_chain(obj: CLObject, cycle: Cycle, count: int, field: Field = QQ)
     rose of two loops with an exit).
     """
     g = obj.graph
-    v = min((u for u in cycle.vertex_set(g) if len(g.out_edges(u)) >= 2), default=None)
+    vertices = g.path_vertices(cycle)
+    v = min((u for u in vertices if len(g.out_edges(u)) >= 2), default=None)
     if v is None:
         raise NotAnExit(f"cycle {cycle} has no exit")
-    k = [g.src(e) for e in cycle.edges].index(v)
-    based = Cycle(cycle.edges[k:] + cycle.edges[:k])
+    k = vertices.index(v)
+    based = Path(v, cycle.edges[k:] + cycle.edges[:k])
     on_cycle = set(based.edges)
     exits = {u: [e for e in g.out_edges(u) if e not in on_cycle]
-             for u in cycle.vertex_set(g) & obj.s_set}
+             for u in obj.s_set.intersection(vertices)}
     ctx = AlgebraContext(obj, field, tuple((u, min(es)) for u, es in exits.items() if es))
-    powers = cycle_powers(ctx, v, based.edges, count)
+    powers = cycle_powers(ctx, based, count)
     projections = tuple(p * p.star() for p in powers[1:])
-    return v, based, tuple(powers), projections
+    return based, tuple(powers), projections
 
 
-def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
+def cancellation_witness(obj: CLObject, cycle: Path, n_max: int = 3,
                          field: Field = QQ) -> ChainWitness:
     """Verify the cancellation-failure chain p_n = c^n (c^n)* along a cycle with an exit.
 
@@ -324,7 +325,8 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
     (certified by p_n != p_n+1 at the normal-form level) contradicts
     cancellativity.
     """
-    v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
+    based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
+    v = based.source
     statements = [f"cycle {based} based at the bifurcation {v}"]
     for n in range(1, n_max + 1):
         p, p_next = ps[n - 1], ps[n]
@@ -335,7 +337,7 @@ def cancellation_witness(obj: CLObject, cycle: Cycle, n_max: int = 3,
               f"checked (c^{n})* c^{n} = {v}")
         statements.append(f"[{v}] = [p_{n}] = [p_{n+1}] + [p_{n} - p_{n+1}] gives "
                           f"[{v}] = [{v}] + [p_{n} - p_{n+1}] with p_{n} - p_{n+1} != 0")
-    return ChainWitness(v, based, ps[:n_max], tuple(statements))
+    return ChainWitness(based, ps[:n_max], tuple(statements))
 
 
 # -- the verdict -----------------------------------------------------------------

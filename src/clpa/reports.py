@@ -24,7 +24,7 @@ from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
 from .classify import build_generator_map
 from .errors import NoCycle
-from .graphs import CLObject, Cycle, object_to_json
+from .graphs import CLObject, Path, object_to_json
 from .monoid import ChainWitness, cycle_powers, exit_cycle_chain, prove
 from .scalars import QQ, Field
 
@@ -136,10 +136,8 @@ class PropertyReport(Record):
         raise KeyError(code)
 
     def family_verdicts(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out.setdefault(e.family, set()).add(e.verdict)
-        return {fam: next(iter(v)) if len(v) == 1 else None for fam, v in out.items()}
+        """Family -> verdict; every condition of a family shares its verdict."""
+        return {e.family: e.verdict for e in self.entries}
 
     def to_json(self) -> dict:
         return {
@@ -215,16 +213,16 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
 # -- witnesses -------------------------------------------------------------------
 
 
-def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
+def noetherian_chain_witness(obj: CLObject, cycle: Path, n_max: int = 2,
                              field: Field = QQ) -> ChainWitness:
     """Prove the corner-ideal chain along a cycle with an exit strictly increasing.
 
     For an idempotent e, x lies in Ae exactly when xe = x.  So g_n g_n = g_n,
     g_n g_{n+1} = g_n and g_{n+1} g_n != g_{n+1} prove A g_n < A g_{n+1}.
     """
-    v, based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
+    based, powers, ps = exit_cycle_chain(obj, cycle, n_max + 1, field)
     gs = [powers[0] - p for p in ps]
-    statements = [f"cycle {based} based at the bifurcation {v}"]
+    statements = [f"cycle {based} based at the bifurcation {based.source}"]
     for n in range(1, n_max + 1):
         g_n, g_next = gs[n - 1], gs[n]
         prove(statements, g_n * g_next == g_n,
@@ -237,10 +235,10 @@ def noetherian_chain_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
             f"so g_{n+1} is not in A g_{n} and A g_{n} < A g_{n+1} strictly "
             "(x in Ae iff xe = x for an idempotent e)"
         )
-    return ChainWitness(v, based, tuple(gs[:n_max]), tuple(statements))
+    return ChainWitness(based, tuple(gs[:n_max]), tuple(statements))
 
 
-def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
+def artinian_failure_witness(obj: CLObject, cycle: Path, n_max: int = 2,
                              field: Field = QQ) -> ChainWitness:
     """Prove that the algebra of a no-exit object is not artinian along a cycle in S.
 
@@ -252,12 +250,11 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
     decrease.  The degrees show why no such chain is graded: h_n is
     homogeneous of degree n*|c|, and the graded-artinian verdict stays true.
     """
-    g = obj.graph
-    base = cycle.base(g)
-    if not cycle.vertex_set(g) <= obj.s_set:
+    base = cycle.source
+    if not obj.s_set.issuperset(obj.graph.path_vertices(cycle)):
         raise NoCycle(f"cycle {cycle} does not have all its vertices in S")
     gmap = build_generator_map(obj, field=field)
-    powers = cycle_powers(gmap.ctx, base, cycle.edges, n_max + 1)
+    powers = cycle_powers(gmap.ctx, cycle, n_max + 1)
     vert, c = powers[0], powers[1]
     block_index = next(
         i for i, b in enumerate(gmap.blocks) if b.kind == "cycle" and b.cycle == cycle
@@ -291,7 +288,7 @@ def artinian_failure_witness(obj: CLObject, cycle: Cycle, n_max: int = 2,
             f"so d_{n} is not in A d_{n+1}, as 1 - t is not a unit of K[t, t^-1]: "
             f"A d_{n+1} < A d_{n} strictly"
         )
-    return ChainWitness(base, cycle, tuple(chain), tuple(statements), tuple(powers[1:n_max + 1]))
+    return ChainWitness(cycle, tuple(chain), tuple(statements), tuple(powers[1:n_max + 1]))
 
 
 # -- relative graph verification -----------------------------------------------

@@ -10,9 +10,9 @@ import time
 from clpa.algebra import AlgebraContext
 from clpa.classify import (
     build_generator_map,
-    check_no_exit_object,
     classify,
     classify_system,
+    no_exit_violations,
 )
 from clpa.expr import parse_expression
 from clpa.gradedmat import (
@@ -90,13 +90,12 @@ def _exhaustive_small_no_exit_objects():
                 continue
             on_cycles = set()
             for c in g.cycles:
-                on_cycles |= c.vertex_set(g)
+                on_cycles.update(g.path_vertices(c))
             free = [v for v in g.regular_vertices() if v not in on_cycles]
             for smask in range(1 << len(free)):
                 s = on_cycles | {v for i, v in enumerate(free) if smask >> i & 1}
                 obj = CLObject(g, s)
-                ok, _ = check_no_exit_object(obj)
-                if ok:
+                if not no_exit_violations(obj):
                     out.append(obj)
     return out
 
@@ -260,14 +259,12 @@ def test_criterion_8_relative_graphs():
         obj = random_object(rng)
         rep = relgraph_verify(obj)
         assert rep.ok and rep.vertex_count_ok and rep.edge_count_ok
-        ok, _ = check_no_exit_object(obj)
-        if ok:
+        if not no_exit_violations(obj):
             assert not relative_graph(obj).graph.exit_cycles
             preserved += 1
     for _ in range(15):
         obj = random_no_exit_object(rng)
-        ok, _ = check_no_exit_object(obj)
-        if ok:
+        if not no_exit_violations(obj):
             assert not relative_graph(obj).graph.exit_cycles
             preserved += 1
     _announce(

@@ -100,6 +100,22 @@ class TestNormalForm:
             assert ctx.from_raw(shuffled) == expect
 
 
+class TestMonomialInputChecks:
+    def test_unknown_source_vertex(self):
+        with pytest.raises(ValueError, match="unknown vertex 'x'"):
+            ctx_of(fan(2)).monomial(Path("x"), Path("x"))
+
+    def test_edge_that_does_not_continue_the_path(self):
+        bad = Path("v", ("e1", "e2"))
+        with pytest.raises(ValueError,
+                           match=r"invalid path e1\.e2: edge 'e2' does not continue it"):
+            ctx_of(fan(2)).monomial(bad, bad)
+
+    def test_paths_with_different_ranges(self):
+        with pytest.raises(ValueError, match="paths e1 and e2 have different ranges"):
+            ctx_of(fan(2)).monomial(Path("v", ("e1",)), Path("v", ("e2",)))
+
+
 class TestMultiplication:
     def test_ghost_edge_gives_range(self):
         ctx = ctx_of(fan(2))

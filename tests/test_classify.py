@@ -12,10 +12,10 @@ from clpa.classify import (
     _verify_generator_map,
     blocks_of,
     build_generator_map,
-    check_no_exit_object,
     classify,
     classify_system,
     inclusion_injective,
+    no_exit_violations,
     uniqueness_conditions,
 )
 from clpa.errors import ClassificationBug, NotNoExitObject
@@ -41,16 +41,13 @@ from oracles import monomial_independence
 
 class TestNoExitObjectCheck:
     def test_loop_with_relation(self):
-        ok, violations = check_no_exit_object(loop())
-        assert ok and not violations
+        assert no_exit_violations(loop()) == []
 
     def test_loop_without_relation_fails_cycle_condition(self):
-        ok, violations = check_no_exit_object(loop(False))
-        assert not ok and any("not in S" in v for v in violations)
+        assert any("not in S" in v for v in no_exit_violations(loop(False)))
 
     def test_rose_fails_no_exit(self):
-        ok, violations = check_no_exit_object(rose())
-        assert not ok and any("bifurcation" in v for v in violations)
+        assert any("bifurcation" in v for v in no_exit_violations(rose()))
 
     def test_classify_rejects_bad_objects(self):
         with pytest.raises(NotNoExitObject):

@@ -70,6 +70,11 @@ class TestExpressions:
             parse_expression("v + ghost", fan_ctx)
         assert err.value.position == 4
 
+    def test_zero_denominator_reports_position(self, fan_ctx):
+        with pytest.raises(ParseError, match=r"^zero denominator \(at position 2\)$") as err:
+            parse_expression("1/0 * v", fan_ctx)
+        assert err.value.position == 2
+
     def test_malformed_path(self, fan_ctx):
         with pytest.raises(ParseError):
             parse_expression("e1.e2", fan_ctx)  # edges do not compose
@@ -228,6 +233,13 @@ def test_field_validated_by_every_subcommand(command, loop_file, rose_exit_file,
     proc = run_cli([*args, "--field", "gf:4"])
     assert proc.returncode == 2
     assert "4 is not prime" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_field_square_of_a_prime_above_17_exits_2(loop_file):
+    # 361 = 19 * 19 has no factor up to 17: only the Miller-Rabin rounds refuse it
+    proc = run_cli(["eval", "c|c", "--graph", loop_file, "--field", "gf:361"])
+    assert proc.returncode == 2
+    assert "361 is not prime" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _laurent_2x2(shifts):

@@ -10,6 +10,7 @@ from clpa.errors import AlgebraMismatch, FieldMismatch, GraphFormatError, Oracle
 from clpa.gradedmat import (
     BlockMatch,
     DirectSum,
+    GradedMatrix,
     GradedMatrixAlgebra,
     MatricialSignature,
     _match_block,
@@ -137,6 +138,27 @@ class TestMatrixOps:
             s.unit(0, 0, 0) * twice.unit(0, 0, 0)
         with pytest.raises(FieldMismatch):
             DirectSum((M("field", 1, (0,), base=GF2),))
+
+
+class TestConstructorChecks:
+    GF5 = PrimeField(5)
+    ALG = one_block(M("field", 2, (0, 1), base=GF5))
+
+    def test_coefficient_outside_the_base_field_refused(self):
+        with pytest.raises(FieldMismatch, match="coefficient 0.5 is not in GF"):
+            GradedMatrix(self.ALG, {(0, 0, 0, 0): 0.5})
+
+    def test_zero_coefficient_dropped(self):
+        x = GradedMatrix(self.ALG, {(0, 0, 1, 0): self.GF5.zero})
+        assert x.is_zero() and x == self.ALG.zero() and x.terms == {}
+
+    def test_key_outside_the_block_refused(self):
+        with pytest.raises(IndexError, match=r"unit \(5, 1\) outside a size-2 block"):
+            GradedMatrix(self.ALG, {(0, 5, 1, 0): self.GF5.one})
+        with pytest.raises(IndexError, match="block 1 outside a sum of 1"):
+            GradedMatrix(self.ALG, {(1, 0, 0, 0): self.GF5.one})
+        with pytest.raises(ValueError, match="no t in a field block"):
+            GradedMatrix(self.ALG, {(0, 0, 0, 1): self.GF5.one})
 
 
 class TestSignature:

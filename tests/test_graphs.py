@@ -52,6 +52,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown edge id 'zz'"):
             loop().graph.make_path(ids)
 
+    def test_one_id_as_vertex_and_edge_rejected(self):
+        with pytest.raises(GraphFormatError,
+                           match=r"ids used for both a vertex and an edge: \['v'\]"):
+            Graph(["v"], [("v", "v", "v")])
+
+    def test_make_path_needs_an_edge(self):
+        with pytest.raises(ValueError, match=r"make_path needs at least one edge; use Path\(v\)"):
+            loop().graph.make_path([])
+
+    def test_make_path_edges_must_compose(self):
+        with pytest.raises(ValueError, match="edges 'e1','e2' do not compose"):
+            fan(2).graph.make_path(["e1", "e2"])
+
     def test_s_must_be_regular(self):
         with pytest.raises(GraphFormatError):
             CLObject(Graph(["v"], []), ["v"])
@@ -103,6 +116,10 @@ class TestPredicates:
 
 
 class TestPathsInto:
+    def test_unknown_target_rejected(self):
+        with pytest.raises(GraphFormatError, match="unknown vertex 'ghost'"):
+            paths_into(loop().graph, "ghost")
+
     def test_single_cycle(self):
         g = cycle(2).graph
         paths = paths_into(g, "v1")
@@ -158,7 +175,7 @@ class TestDeepGraphs:
         vs = [f"v{i}" for i in range(self.N)]
         g = Graph(vs, [(f"a{i}", vs[i], vs[(i + 1) % self.N]) for i in range(self.N)])
         (c,) = find_cycles(g)
-        assert c.length == self.N and c.base(g) == min(vs)
+        assert c.length == self.N and c.source == min(vs)
         # linear: each anchor is trimmed after its walk (quadratic took ~1 s)
         assert min(_seconds(find_cycles, g) for _ in range(3)) < 0.05
 
@@ -199,6 +216,15 @@ class TestCompleteSubobjects:
     def test_not_a_subgraph(self):
         with pytest.raises(NotASubgraph):
             is_complete_subobject(loop(), fan(2))
+
+    def test_closure_of_a_non_subgraph_rejected(self):
+        with pytest.raises(NotASubgraph, match="candidate is not a subgraph of the ambient graph"):
+            complete(loop().graph, fan(2))
+
+    def test_t_outside_s_violation(self):
+        # F = E, but the ambient S is empty while T holds v
+        ok, violations = is_complete_subobject(fan(2, s_on=True), fan(2))
+        assert (ok, violations) == (False, ["v: in T but not in S"])
 
     def test_closure_adds_sibling_edges(self):
         ambient = fan(3, s_on=True)
@@ -277,7 +303,7 @@ class TestRelativeGraph:
             obj = random_no_exit_object(rng)
             on_cycles = set()
             for c in obj.graph.cycles:
-                on_cycles |= c.vertex_set(obj.graph)
+                on_cycles.update(obj.graph.path_vertices(c))
             if not obj.graph.exit_cycles and on_cycles <= obj.s_set:
                 seen += 1
                 assert not relative_graph(obj).graph.exit_cycles

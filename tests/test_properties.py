@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clpa._linalg import nullspace_basis
 from clpa.algebra import AlgebraContext, Monomial, evaluate_element
-from clpa.classify import check_no_exit_object, classify
+from clpa.classify import classify, no_exit_violations
 from clpa.graphs import (
     CLObject,
     Graph,
@@ -74,15 +74,13 @@ def test_relative_graph_count_formulas(obj):
 @settings(max_examples=60, deadline=None)
 @given(obj=small_objects())
 def test_no_exit_object_iff_relative_graph_no_exit(obj):
-    ok, _ = check_no_exit_object(obj)
-    assert ok == (not relative_graph(obj).graph.exit_cycles)
+    assert (not no_exit_violations(obj)) == (not relative_graph(obj).graph.exit_cycles)
 
 
 @settings(max_examples=40, deadline=None)
 @given(obj=small_objects())
 def test_classification_block_bookkeeping(obj):
-    ok, _ = check_no_exit_object(obj)
-    if not ok:
+    if no_exit_violations(obj):
         return
     sig = classify(obj)
     g = obj.graph
@@ -192,7 +190,7 @@ def cycles_with_exits(draw):
 
 
 def _assert_chain_stays_small(obj: CLObject, count: int = 50):
-    _, _, powers, projections = exit_cycle_chain(obj, obj.graph.exit_cycles[0], count)
+    _, powers, projections = exit_cycle_chain(obj, obj.graph.exit_cycles[0], count)
     for p in projections:
         assert len(p.terms) == 1
         assert len((powers[0] - p).terms) <= 2
@@ -210,10 +208,9 @@ def test_exit_cycle_chain_is_one_monomial_per_step(obj):
     _assert_chain_stays_small(obj)
 
 
-def _dense_nullspace(rows, field) -> list:
+def _dense_nullspace(rows, ncols, field) -> list:
     """Reference: Gauss-Jordan updating every column of every row."""
     m = [list(r) for r in rows]
-    ncols = len(m[0])
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -244,9 +241,13 @@ def test_nullspace_basis_matches_dense_elimination(field, data):
     ncols = data.draw(st.integers(min_value=1, max_value=8))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
     rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                              min_size=1, max_size=7))
+                              min_size=0, max_size=7))
     rows = [[field.from_int(x) for x in row] for row in rows]
-    assert nullspace_basis(rows, field) == _dense_nullspace(rows, field)
+    assert nullspace_basis(rows, ncols, field) == _dense_nullspace(rows, ncols, field)
+
+
+def test_nullspace_basis_of_no_equations_is_every_unit_vector():
+    assert nullspace_basis([], 3, QQ) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def _brute_force_cycles(g: Graph) -> list:

@@ -112,7 +112,7 @@ class TestNoetherianWitness:
         obj = cycle_with_exit(2)
         cycles = obj.graph.cycles
         witness = noetherian_chain_witness(obj, cycles[0], 2)
-        assert witness.base_vertex == "v1"
+        assert witness.cycle.source == "v1"
 
 
 class TestArtinianWitness:

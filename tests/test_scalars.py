@@ -17,6 +17,7 @@ from clpa.scalars import (
     LaurentPoly,
     PFElement,
     PrimeField,
+    _is_prime,
     field_from_spec,
 )
 
@@ -61,11 +62,34 @@ class TestScalarArith:
         with pytest.raises(ValueError):
             PrimeField(2**31 + 11)
 
+    def test_largest_allowed_modulus_accepted(self):
+        assert PrimeField(2_147_483_647).p == 2**31 - 1
+
     def test_field_from_spec(self):
         assert field_from_spec("q") == QQ
         assert field_from_spec("gf:7") == PrimeField(7)
         with pytest.raises(ValueError):
             field_from_spec("gf:otter")
+
+
+class TestPrimality:
+    # the moduli above 17 with no factor up to 17 are where Miller-Rabin runs
+
+    def test_agrees_with_a_sieve_below_20000(self):
+        sieve = [False, False] + [True] * (20_000 - 2)
+        for p in range(2, 142):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(range(p * p, 20_000, p))
+        assert [n for n in range(20_000) if _is_prime(n)] == [
+            n for n, prime in enumerate(sieve) if prime]
+
+    def test_large_prime(self):
+        assert _is_prime(1_000_000_007)
+
+    def test_strong_pseudoprime_to_bases_2_3_5_refused(self):
+        assert not _is_prime(25_326_001)
+        with pytest.raises(ValueError, match="25326001 is not prime"):
+            PrimeField(25_326_001)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
