@@ -31,11 +31,9 @@ def small_objects():
         for mask in range(1 << len(slots)):
             edges = [(f"e{i}", a, b) for i, (a, b) in enumerate(slots) if mask >> i & 1]
             g = Graph(vertices, edges)
-            if g.exit_cycles:
+            if g.exit_cycle is not None:
                 continue
-            on_cycles = set()
-            for c in g.cycles:
-                on_cycles.update(g.path_vertices(c))
+            on_cycles = g.cycle_vertices
             free = [v for v in g.regular_vertices() if v not in on_cycles]
             for smask in range(1 << len(free)):
                 s = on_cycles | {v for i, v in enumerate(free) if smask >> i & 1}

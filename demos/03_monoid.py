@@ -73,6 +73,5 @@ obj = CLObject(
           [("a", "v1", "v2"), ("b", "v2", "v1"), ("x", "v1", "w")]),
     ["v1", "v2"],
 )
-cycles = obj.graph.cycles
-witness = cancellation_witness(obj, cycles[0], 2)
+witness = cancellation_witness(obj, obj.graph.exit_cycle, 2)
 print(witness.transcript())

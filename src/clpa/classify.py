@@ -44,10 +44,9 @@ def no_exit_violations(obj: CLObject) -> list:
     """Why the object is not no-exit: empty iff the graph is no-exit and
     every cycle vertex lies in S."""
     g = obj.graph
-    on_cycles = set().union(*(g.path_vertices(c) for c in g.cycles))
     return ([f"cycle vertex {v} is a bifurcation (the cycle has an exit)"
-             for v in sorted(on_cycles.intersection(g.bifurcations()))]
-            + [f"cycle vertex {v} is not in S" for v in sorted(on_cycles - obj.s_set)])
+             for v in sorted(g.cycle_vertices.intersection(g.bifurcations()))]
+            + [f"cycle vertex {v} is not in S" for v in sorted(g.cycle_vertices - obj.s_set)])
 
 
 class Block(Record):

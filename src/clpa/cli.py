@@ -15,8 +15,8 @@ import sys
 from . import monoid as monoid_mod
 from . import reports as reports_mod
 from .algebra import AlgebraContext
-from .classify import build_generator_map, classify as classify_object
-from .errors import ClassificationBug, ClpaError
+from .classify import build_generator_map, classify as classify_object, no_exit_violations
+from .errors import ClassificationBug, ClpaError, NotNoExitObject
 from .expr import parse_expression
 from .gradedmat import decide_graded_iso, signature_from_json, signature_to_json
 from .graphs import (
@@ -196,20 +196,20 @@ def cmd_witness(args) -> int:
         raise ClpaError(f"chain length --n must be at least 1, got {args.n}")
     obj = load_object(args.graph)
     if args.kind != "artinian":
-        # the cycle that analyze and monoid certify: the relative graph's first with an exit
+        # the cycle that analyze and monoid certify: the relative graph's shortest with an exit
         leavitt = obj.relative.leavitt_object()
-        exit_cycles = leavitt.graph.exit_cycles
-        if not exit_cycles:
+        if leavitt.graph.exit_cycle is None:
             raise ClpaError("no cycle with an exit in the graph")
         build = (monoid_mod.cancellation_witness if args.kind == "cancellation"
                  else reports_mod.noetherian_chain_witness)
-        witness = build(leavitt, exit_cycles[0], args.n, args.field)
+        witness = build(leavitt, leavitt.graph.exit_cycle, args.n, args.field)
     else:
-        g = obj.graph
-        cycle = next((c for c in g.cycles if obj.s_set.issuperset(g.path_vertices(c))), None)
-        if cycle is None:
+        violations = no_exit_violations(obj)
+        if violations:
+            raise NotNoExitObject("; ".join(violations))
+        if not obj.graph.cycles:
             raise ClpaError("no cycle with all vertices in S")
-        witness = reports_mod.artinian_failure_witness(obj, cycle, args.n, args.field)
+        witness = reports_mod.artinian_failure_witness(obj, obj.graph.cycles[0], args.n, args.field)
     if args.json:
         _emit_json({"kind": args.kind, "transcript": witness.transcript()})
     else:

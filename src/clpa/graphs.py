@@ -8,7 +8,10 @@ Everything here is immutable and id-based: vertices and edges are nonempty
 strings without whitespace or any of ``| . ~``.  Multigraphs (parallel edges,
 several loops at one vertex) are fully supported, which is why a cycle is
 stored as an edge sequence, not a vertex sequence: the :class:`Path` around
-it from its base, the smallest vertex id on it.
+it from its base, the smallest vertex id on it.  No cycle list is built:
+:func:`cycle_facts` finds the cycles without an exit, the vertices on a
+cycle and one shortest cycle with an exit, with one walk and one search per
+bifurcation.
 """
 
 from __future__ import annotations
@@ -100,11 +103,12 @@ class Graph(Record):
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
 
-    # every cycle (see find_cycles), found on first read
-    cycles = cached_property(lambda self: find_cycles(self))
-    # the cycles through a bifurcation, in cycle order
-    exit_cycles = cached_property(lambda self: tuple(
-        c for c in self.cycles if any(len(self.out_edges(self.src(e))) >= 2 for e in c.edges)))
+    # the cycles without an exit, the vertices on a cycle and a shortest
+    # cycle with an exit (see cycle_facts), found together on first read
+    _cycle_facts = cached_property(lambda self: cycle_facts(self))
+    cycles = property(lambda self: self._cycle_facts[0])
+    cycle_vertices = property(lambda self: self._cycle_facts[1])
+    exit_cycle = property(lambda self: self._cycle_facts[2])
 
     # -- paths -------------------------------------------------------------
 
@@ -167,61 +171,58 @@ class Path(Record):
 _set_path_source, _set_path_edges = Path.source.__set__, Path.edges.__set__
 
 
-def find_cycles(graph: Graph) -> tuple:
-    """All cycles (closed paths with pairwise distinct sources), canonical order.
+def _reach(step, end, start: str) -> dict:
+    """Breadth-first search: each vertex reached from ``start`` by a nonempty
+    path (along ``step(v)``'s edges to ``end(e)``) -> the edge first reaching it."""
+    first, queue = {}, [start]
+    for v in queue:  # the queue grows as it is read
+        for e in step(v):
+            if end(e) not in first:
+                first[end(e)] = e
+                queue.append(end(e))
+    return first
 
-    Each cycle is the closed :class:`Path` from its minimal vertex, its
-    base, so every cycle is produced exactly once; parallel edges give
-    distinct cycles.  The walks run only in the core: the vertices left
-    after repeatedly trimming those that emit or receive no edge of what
-    remains.  No cycle passes through a trimmed vertex, and once every cycle
-    through an anchor is found the anchor is trimmed too, so a later walk
-    never enters it or what it alone kept alive.
+
+def cycle_facts(graph: Graph) -> tuple:
+    """The cycles without an exit, the vertices on some cycle, and a shortest
+    cycle with an exit (None exactly when the graph is no-exit).
+
+    No cycle is listed.  A cycle has no exit exactly when each of its
+    vertices emits one edge, so following those only edges, visiting each
+    vertex once, finds these cycles; they come in :meth:`Path.sort_key`
+    order.  Every other cycle passes through a bifurcation b, and its
+    vertices are those that b reaches and that reach b.  The search forward
+    from b meets b again first along a shortest cycle through b; ties go to
+    the smaller bifurcation, then to the first path in edge order.  Each
+    cycle is the closed :class:`Path` from its base, its smallest vertex.
     """
-    core = set(graph.vertices)
-    n_out = {v: len(graph.out_edges(v)) for v in core}
-    n_in = {v: len(graph.in_edges(v)) for v in core}
+    def based(edges: list) -> Path:
+        k = min(range(len(edges)), key=lambda i: graph.src(edges[i]))
+        return Path(graph.src(edges[k]), tuple(edges[k:] + edges[:k]))
 
-    def trim(pending):
-        while pending:
-            v = pending.pop()
-            if v not in core:
-                continue
-            core.discard(v)
-            for e in graph.out_edges(v):
-                n_in[graph.rng(e)] -= 1
-                if not n_in[graph.rng(e)]:
-                    pending.append(graph.rng(e))
-            for e in graph.in_edges(v):
-                n_out[graph.src(e)] -= 1
-                if not n_out[graph.src(e)]:
-                    pending.append(graph.src(e))
-
-    trim([v for v in core if not n_out[v] or not n_in[v]])
-    cycles = []
-    for anchor in sorted(core):
-        if anchor not in core:
+    cycles, walked = [], {}
+    for start in graph.vertices:
+        v, vs, es = start, [], []
+        while v not in walked and len(graph.out_edges(v)) == 1:
+            walked[v] = start
+            vs.append(v)
+            es.append(graph.out_edges(v)[0])
+            v = graph.rng(es[-1])
+        if walked.get(v) == start:  # the walk closed on itself
+            cycles.append(based(es[vs.index(v):]))
+    on_cycles = {v for c in cycles for v in graph.path_vertices(c)}
+    exit_cycle = None
+    for b in graph.bifurcations():
+        ahead = _reach(graph.out_edges, graph.rng, b)
+        if b not in ahead:
             continue
-        # depth-first walk with an explicit stack of out-edge iterators; every
-        # core vertex below the anchor has been trimmed as an earlier anchor
-        edges, on_path = [], {anchor}
-        stack = [iter(graph.out_edges(anchor))]
-        while stack:
-            eid = next(stack[-1], None)
-            if eid is None:
-                stack.pop()
-                if edges:
-                    on_path.discard(graph.rng(edges.pop()))
-                continue
-            nxt = graph.rng(eid)
-            if nxt == anchor:
-                cycles.append(Path(anchor, tuple(edges) + (eid,)))
-            elif nxt in core and nxt not in on_path:
-                edges.append(eid)
-                on_path.add(nxt)
-                stack.append(iter(graph.out_edges(nxt)))
-        trim([anchor])
-    return tuple(sorted(cycles, key=Path.sort_key))
+        on_cycles |= ahead.keys() & _reach(graph.in_edges, graph.src, b).keys()
+        edges = [ahead[b]]
+        while graph.src(edges[-1]) != b:
+            edges.append(ahead[graph.src(edges[-1])])
+        if exit_cycle is None or len(edges) < len(exit_cycle):
+            exit_cycle = based(edges[::-1])
+    return tuple(sorted(cycles, key=Path.sort_key)), frozenset(on_cycles), exit_cycle
 
 
 class CLObject(Record):

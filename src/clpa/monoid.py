@@ -128,7 +128,7 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
     map onto a free commutative monoid (an isomorphism in this case).
     """
     leavitt = pres.rel.leavitt_object()
-    if leavitt.graph.exit_cycles:
+    if leavitt.graph.exit_cycle is not None:
         return None
     blocks = blocks_of(leavitt)
     sources = [Counter(q.source for q in b.paths) for b in blocks]
@@ -368,6 +368,6 @@ def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
         return MonoidVerdict(True, invariant, rank, None, "relative graph is no-exit: the monoid is "
                              f"free commutative on {rank} generators (one per sink and per cycle)")
     leavitt = pres.rel.leavitt_object()
-    witness = cancellation_witness(leavitt, leavitt.graph.exit_cycles[0])
+    witness = cancellation_witness(leavitt, leavitt.graph.exit_cycle)
     return MonoidVerdict(False, None, None, witness,
                          "relative graph has a cycle with an exit: cancellation fails")

@@ -182,8 +182,8 @@ def _entries(no_exit: bool, acyclic: bool, sink_free: bool) -> tuple:
 def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     """Evaluate every condition family on the relative graph of the object."""
     rel = obj.relative
-    no_exit = not rel.graph.exit_cycles
-    acyclic = not rel.graph.cycles
+    no_exit = rel.graph.exit_cycle is None
+    acyclic = not rel.graph.cycle_vertices
     sink_free = not rel.graph.sinks()
     entries = _entries(no_exit, acyclic, sink_free)
 
@@ -191,7 +191,7 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     witnesses: dict = {}
     if not no_exit:
         witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), rel.graph.exit_cycles[0], field=field)
+            rel.leavitt_object(), rel.graph.exit_cycle, field=field)
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "
             "corner left ideals (see the noetherian_chain witness)"
@@ -254,11 +254,11 @@ def artinian_failure_witness(obj: CLObject, cycle: Path, n_max: int = 2,
     if not obj.s_set.issuperset(obj.graph.path_vertices(cycle)):
         raise NoCycle(f"cycle {cycle} does not have all its vertices in S")
     gmap = build_generator_map(obj, field=field)
+    block_index = next((i for i, b in enumerate(gmap.blocks) if b.cycle == cycle), None)
+    if block_index is None:
+        raise NoCycle(f"{cycle} is not a cycle of the graph")
     powers = cycle_powers(gmap.ctx, cycle, n_max + 1)
     vert, c = powers[0], powers[1]
-    block_index = next(
-        i for i, b in enumerate(gmap.blocks) if b.kind == "cycle" and b.cycle == cycle
-    )
     triv = next(i for i, p in enumerate(gmap.blocks[block_index].paths) if p.is_trivial)
 
     def unit(k):

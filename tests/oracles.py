@@ -16,14 +16,29 @@ from typing import Optional
 from clpa._linalg import rank_of_sparse
 from clpa.algebra import AlgebraContext, Monomial, evaluate_monomial
 from clpa.errors import NonFiniteEnumeration
-from clpa.graphs import Graph, Path, find_cycles
+from clpa.graphs import Graph, Path
 from clpa.monoid import MonoidElement, Presentation
+
+
+def all_cycles(graph: Graph) -> list:
+    """Every cycle's edges, by definition: the closed paths with pairwise
+    distinct sources, each from its smallest source, sorted by (length, edges)."""
+    out = []
+    stack = [((e,), frozenset({graph.src(e)})) for e in graph.edge_ids()]
+    while stack:
+        edges, sources = stack.pop()
+        at = graph.rng(edges[-1])
+        if at == graph.src(edges[0]) and at == min(sources):
+            out.append(edges)
+        stack.extend((edges + (e,), sources | {at})
+                     for e in graph.out_edges(at) if at not in sources)
+    return sorted(out, key=lambda c: (len(c), c))
 
 
 def all_paths(graph: Graph, max_length: Optional[int] = None) -> list:
     """Every path of the graph up to ``max_length`` (unbounded needs acyclicity)."""
     if max_length is None:
-        if find_cycles(graph):
+        if graph.cycle_vertices:
             raise NonFiniteEnumeration("graph has cycles; pass max_length")
         max_length = len(graph.vertices)
     out = [Path(v) for v in sorted(graph.vertices)]

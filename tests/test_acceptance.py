@@ -86,7 +86,7 @@ def _exhaustive_small_no_exit_objects():
                 if mask >> i & 1
             ]
             g = Graph(vertices, edges)
-            if g.exit_cycles:
+            if g.exit_cycle is not None:
                 continue
             on_cycles = set()
             for c in g.cycles:
@@ -239,8 +239,7 @@ def test_criterion_7_monoid_verdicts():
         rg = relative_graph(obj).graph
         assert verdict.invariant_rank == len(rg.sinks()) + len(rg.cycles), name
     rose_obj = rose()
-    cycles = rose_obj.graph.cycles
-    witness = cancellation_witness(rose_obj, cycles[0], 3)
+    witness = cancellation_witness(rose_obj, rose_obj.graph.exit_cycle, 3)
     assert len(witness.chain) == 3
     _announce(
         7,
@@ -260,12 +259,12 @@ def test_criterion_8_relative_graphs():
         rep = relgraph_verify(obj)
         assert rep.ok and rep.vertex_count_ok and rep.edge_count_ok
         if not no_exit_violations(obj):
-            assert not relative_graph(obj).graph.exit_cycles
+            assert relative_graph(obj).graph.exit_cycle is None
             preserved += 1
     for _ in range(15):
         obj = random_no_exit_object(rng)
         if not no_exit_violations(obj):
-            assert not relative_graph(obj).graph.exit_cycles
+            assert relative_graph(obj).graph.exit_cycle is None
             preserved += 1
     _announce(
         8,

@@ -6,13 +6,14 @@ import tracemalloc
 
 import pytest
 
-from clpa.errors import GraphFormatError, NonFiniteEnumeration, NotASubgraph
+from clpa.classify import classify
+from clpa.errors import GraphFormatError, NonFiniteEnumeration, NotASubgraph, NotNoExitObject
 from clpa.graphs import (
     CLObject,
     Graph,
     Path,
     complete,
-    find_cycles,
+    cycle_facts,
     is_complete_subobject,
     object_from_json,
     object_to_json,
@@ -20,6 +21,8 @@ from clpa.graphs import (
     relative_graph,
     subobject_system,
 )
+from clpa.monoid import atomic_cancellative_verdict
+from clpa.reports import noetherian_chain_witness, report
 
 from conftest import (
     brute_force_paths_into,
@@ -90,29 +93,29 @@ class TestValidation:
 class TestPredicates:
     def test_single_loop(self):
         g = loop().graph
-        assert not g.exit_cycles and g.cycles
+        assert g.exit_cycle is None and g.cycles
         assert len(g.cycles) == 1 and g.cycles[0].edges == ("c",)
         assert g.sinks() == ()
 
     def test_rose_has_exit(self):
         g = rose().graph
-        assert g.exit_cycles
+        assert g.exit_cycle == Path("v", ("c1",))  # parallel loops: the first one
         assert g.bifurcations() == ("v",)
-        assert len(g.cycles) == 2  # parallel loops are distinct cycles
+        assert g.cycles == () and g.cycle_vertices == {"v"}
 
     def test_fan_acyclic(self):
         g = fan(3).graph
-        assert not g.cycles and not g.exit_cycles
+        assert not g.cycles and g.exit_cycle is None and not g.cycle_vertices
         assert set(g.sinks()) == {"u1", "u2", "u3"}
         assert g.regular_vertices() == ("v",)
 
     def test_cycle_canonical_rotation(self):
         g = cycle(3).graph
-        (c,) = find_cycles(g)
+        (c,) = g.cycles
         assert g.src(c.edges[0]) == "v1"  # smallest vertex id anchors the rotation
 
     def test_two_cycle_found_once(self):
-        assert len(find_cycles(cycle(2).graph)) == 1
+        assert len(cycle(2).graph.cycles) == 1
 
 
 class TestPathsInto:
@@ -171,13 +174,29 @@ class TestDeepGraphs:
     # walks use an explicit stack: depth is not bounded by the recursion limit
     N = 2000
 
-    def test_find_cycles_long_cycle(self):
+    def _long_cycle(self, *extra):
         vs = [f"v{i}" for i in range(self.N)]
-        g = Graph(vs, [(f"a{i}", vs[i], vs[(i + 1) % self.N]) for i in range(self.N)])
-        (c,) = find_cycles(g)
-        assert c.length == self.N and c.source == min(vs)
-        # linear: each anchor is trimmed after its walk (quadratic took ~1 s)
-        assert min(_seconds(find_cycles, g) for _ in range(3)) < 0.05
+        edges = [(f"a{i}", vs[i], vs[(i + 1) % self.N]) for i in range(self.N)]
+        return Graph(vs + ["w"], edges + list(extra)), vs
+
+    def test_cycle_facts_long_cycle(self):
+        g, vs = self._long_cycle()
+        (c,) = g.cycles
+        assert c.length == self.N and c.source == min(vs) and g.exit_cycle is None
+        # linear: each vertex is walked once (the quadratic anchor walks took ~1 s)
+        assert min(_seconds(cycle_facts, g) for _ in range(3)) < 0.05
+
+    def test_cycle_facts_long_cycle_with_exit(self):
+        g, vs = self._long_cycle(("x", "v0", "w"))
+        assert g.cycles == () and g.cycle_vertices == set(vs)
+        assert g.exit_cycle.length == self.N and g.exit_cycle.source == min(vs)
+        assert min(_seconds(cycle_facts, g) for _ in range(3)) < 0.05
+
+    def test_cycle_facts_long_cycle_with_chord(self):
+        g, vs = self._long_cycle(("x", "v0", f"v{self.N // 2}"))
+        assert g.cycles == () and g.cycle_vertices == set(vs)
+        assert g.exit_cycle.length == self.N // 2 + 1 and "x" in g.exit_cycle.edges
+        assert min(_seconds(cycle_facts, g) for _ in range(3)) < 0.05
 
     def test_paths_into_long_path(self):
         vs = [f"v{i}" for i in range(self.N)]
@@ -185,6 +204,31 @@ class TestDeepGraphs:
         paths = paths_into(g, vs[-1])
         assert [len(p) for p in paths] == list(range(self.N))
         assert paths[-1].source == vs[0]
+
+
+def complete_digraph(n: int) -> CLObject:
+    """An edge between every two distinct vertices, both ways; S = every vertex."""
+    vs = [f"v{i:02}" for i in range(n)]
+    return CLObject(Graph(vs, [(f"e{a}_{b}", a, b) for a in vs for b in vs if a != b]), vs)
+
+
+class TestDenseGraph:
+    # the complete digraph on 12 vertices has 119 481 284 cycles; no answer lists them
+    @pytest.mark.parametrize("answer", [
+        report, atomic_cancellative_verdict,
+        lambda obj: noetherian_chain_witness(obj, obj.graph.exit_cycle),
+    ], ids=["report", "atomic_cancellative_verdict", "noetherian_chain_witness"])
+    def test_answers_under_one_second(self, answer):
+        obj = complete_digraph(12)
+        assert _seconds(answer, obj) < 1.0
+        assert obj.graph.exit_cycle.length == 2 and len(obj.graph.cycle_vertices) == 12
+
+    def test_classify_refuses_under_one_second(self):
+        obj = complete_digraph(12)
+        start = time.perf_counter()
+        with pytest.raises(NotNoExitObject, match="cycle vertex v00 is a bifurcation"):
+            classify(obj)
+        assert time.perf_counter() - start < 1.0
 
 
 def random_subgraph(rng, ambient) -> Graph:
@@ -304,9 +348,9 @@ class TestRelativeGraph:
             on_cycles = set()
             for c in obj.graph.cycles:
                 on_cycles.update(obj.graph.path_vertices(c))
-            if not obj.graph.exit_cycles and on_cycles <= obj.s_set:
+            if obj.graph.exit_cycle is None and on_cycles <= obj.s_set:
                 seen += 1
-                assert not relative_graph(obj).graph.exit_cycles
+                assert relative_graph(obj).graph.exit_cycle is None
         assert seen >= 10
 
     def test_primed_name_freshness(self):

@@ -317,8 +317,7 @@ class TestVerdicts:
 class TestCancellationWitness:
     def test_rose_chain(self):
         obj = rose()
-        (c1, _) = obj.graph.cycles
-        witness = cancellation_witness(obj, c1, 3)
+        witness = cancellation_witness(obj, obj.graph.exit_cycle, 3)
         assert len(witness.chain) == 3
         assert "p_1 != p_2" in "\n".join(witness.statements)
 
@@ -330,6 +329,5 @@ class TestCancellationWitness:
 
     def test_two_cycle_with_exit(self):
         obj = cycle_with_exit(2)
-        cycles = obj.graph.cycles
-        witness = cancellation_witness(obj, cycles[0], 2)
+        witness = cancellation_witness(obj, obj.graph.exit_cycle, 2)
         assert witness.cycle.source == "v1"

@@ -14,7 +14,6 @@ from clpa.graphs import (
     Graph,
     Path,
     complete,
-    find_cycles,
     is_complete_subobject,
     load_object,
     relative_graph,
@@ -23,6 +22,7 @@ from clpa.monoid import exit_cycle_chain
 from clpa.scalars import QQ, PrimeField
 
 from conftest import random_element, random_object
+from oracles import all_cycles
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 
@@ -74,7 +74,7 @@ def test_relative_graph_count_formulas(obj):
 @settings(max_examples=60, deadline=None)
 @given(obj=small_objects())
 def test_no_exit_object_iff_relative_graph_no_exit(obj):
-    assert (not no_exit_violations(obj)) == (not relative_graph(obj).graph.exit_cycles)
+    assert (not no_exit_violations(obj)) == (relative_graph(obj).graph.exit_cycle is None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,7 +190,7 @@ def cycles_with_exits(draw):
 
 
 def _assert_chain_stays_small(obj: CLObject, count: int = 50):
-    _, powers, projections = exit_cycle_chain(obj, obj.graph.exit_cycles[0], count)
+    _, powers, projections = exit_cycle_chain(obj, obj.graph.exit_cycle, count)
     for p in projections:
         assert len(p.terms) == 1
         assert len((powers[0] - p).terms) <= 2
@@ -250,21 +250,6 @@ def test_nullspace_basis_of_no_equations_is_every_unit_vector():
     assert nullspace_basis([], 3, QQ) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def _brute_force_cycles(g: Graph) -> list:
-    """Closed paths with pairwise distinct sources, each in canonical rotation
-    (starting at its smallest source), sorted by (length, edges)."""
-    out = []
-    stack = [((e,), frozenset({g.src(e)})) for e in g.edge_ids()]
-    while stack:
-        edges, sources = stack.pop()
-        at = g.rng(edges[-1])
-        if at == g.src(edges[0]) and at == min(sources):
-            out.append(edges)
-        stack.extend((edges + (e,), sources | {at})
-                     for e in g.out_edges(at) if at not in sources)
-    return sorted(out, key=lambda c: (len(c), c))
-
-
 @st.composite
 def multigraphs_with_tails(draw):
     """A multigraph on up to 5 vertices, with long tails into and out of it."""
@@ -287,5 +272,15 @@ def multigraphs_with_tails(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(g=multigraphs_with_tails())
-def test_find_cycles_matches_definition(g):
-    assert [c.edges for c in find_cycles(g)] == _brute_force_cycles(g)
+def test_cycle_facts_match_definition(g):
+    cycles = all_cycles(g)
+    no_exit = [c for c in cycles if all(len(g.out_edges(g.src(e))) == 1 for e in c)]
+    assert [c.edges for c in g.cycles] == no_exit
+    assert g.cycle_vertices == {g.src(e) for c in cycles for e in c}
+    with_exit = [c for c in cycles if c not in no_exit]
+    if not with_exit:
+        assert g.exit_cycle is None
+    else:
+        c = g.exit_cycle
+        assert c.edges in with_exit and c.length == len(with_exit[0])
+        assert c.source == min(g.path_vertices(c))

@@ -20,7 +20,7 @@ from clpa._record import FrozenRecordError, Record
 from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative_generator_images
 from clpa.classify import blocks_of, build_generator_map, classify_system
 from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
-from clpa.graphs import Path, find_cycles, relative_graph
+from clpa.graphs import Path, cycle_facts, relative_graph
 from clpa.monoid import (ChainWitness, MonoidElement, atomic_cancellative_verdict, equal,
                          presentation)
 from clpa.reports import relgraph_verify, report
@@ -102,7 +102,7 @@ def _corpus_records():
     pres = presentation(rose)
     _, _, images = relative_generator_images(tail)
     roots = [
-        gmap, sig, classify_system(loop), blocks_of(tail), find_cycles(rose.graph),
+        gmap, sig, classify_system(loop), blocks_of(tail), cycle_facts(rose.graph),
         relative_graph(rose),
         check_generator_map(tail, images), decide_graded_iso(sig, sig),
         report(loop), report(rose), relgraph_verify(tail), pres,
@@ -238,7 +238,7 @@ def _semantics(x) -> tuple:
 @pytest.mark.parametrize("name", ["rose2", "cycle_with_tail"])
 def test_relative_graph_and_cycles_built_once(monkeypatch, name):
     builds = _count_calls(monkeypatch, clpa.graphs.relative_graph)
-    walks = _count_calls(monkeypatch, clpa.graphs.find_cycles)
+    walks = _count_calls(monkeypatch, clpa.graphs.cycle_facts)
     obj = {**NO_EXIT_CORPUS, **EXIT_CORPUS}[name]()
     before = _semantics(obj), _semantics(obj.graph)
     report(obj)
@@ -248,12 +248,12 @@ def test_relative_graph_and_cycles_built_once(monkeypatch, name):
     x = pres.element(*pres.generators[:1])
     assert equal(pres, x, x).verdict == "yes"
     assert len(builds) == 1 and builds[0] is obj
-    obj.graph.exit_cycles  # fills the object's own graph too
+    obj.graph.exit_cycle  # fills the object's own graph too
     walked = {id(g) for g in walks}
     assert len(walks) == len(walked) and {id(obj.graph), id(obj.relative.graph)} <= walked
     # the caches are filled, yet every record operation (and the pickled twin,
     # which carries no cache) reads as before
-    assert "relative" in vars(obj) and "exit_cycles" in vars(obj.graph)
+    assert "relative" in vars(obj) and "_cycle_facts" in vars(obj.graph)
     assert (_semantics(obj), _semantics(obj.graph)) == before
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from clpa.errors import NoCycle, NotAnExit, NotNoExitObject
+from clpa.graphs import Path
 from clpa.reports import (
     artinian_failure_witness,
     noetherian_chain_witness,
@@ -91,8 +92,7 @@ class TestReportVerdicts:
 class TestNoetherianWitness:
     def test_rose_chain(self):
         obj = rose()
-        cycles = obj.graph.cycles
-        witness = noetherian_chain_witness(obj, cycles[0], 3)
+        witness = noetherian_chain_witness(obj, obj.graph.exit_cycle, 3)
         assert len(witness.chain) == 3
         for n in (1, 2, 3):
             assert f"checked g_{n} idempotent" in witness.statements
@@ -110,8 +110,7 @@ class TestNoetherianWitness:
 
     def test_two_cycle_with_exit(self):
         obj = cycle_with_exit(2)
-        cycles = obj.graph.cycles
-        witness = noetherian_chain_witness(obj, cycles[0], 2)
+        witness = noetherian_chain_witness(obj, obj.graph.exit_cycle, 2)
         assert witness.cycle.source == "v1"
 
 
@@ -145,7 +144,7 @@ class TestArtinianWitness:
         # the loop lies in S but has an exit: graded artinian fails, so there
         # is no artinian-failure witness to give
         obj = loop_with_exit()
-        (c,) = obj.graph.cycles
+        c = obj.graph.exit_cycle
         assert not report(obj).verdict("17l")
         with pytest.raises(NotNoExitObject):
             artinian_failure_witness(obj, c, 2)
@@ -155,6 +154,11 @@ class TestArtinianWitness:
         (c,) = obj.graph.cycles
         with pytest.raises(NoCycle):
             artinian_failure_witness(obj, c, 2)
+
+    @pytest.mark.parametrize("path", [Path("v", ("c", "c")), Path("v")], ids=["twice", "trivial"])
+    def test_path_that_is_not_a_cycle(self, path):
+        with pytest.raises(NoCycle):
+            artinian_failure_witness(loop(), path, 2)
 
     def test_acyclic_has_no_cycle(self):
         obj = fan(2)
