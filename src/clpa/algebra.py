@@ -376,12 +376,11 @@ class GeneratorMapReport(Record):
         return not self.failures and not self.degree_failures
 
 
-def path_image(path: Path, images: Mapping):
-    """The image of a path: that of its source if trivial, else the product
-    of its edges' images."""
-    edges = path.edges
+def path_image(source: str, edges: tuple, images: Mapping):
+    """The image of the path with this source and these edges: that of its
+    source if trivial, else the product of its edges' images."""
     if not edges:
-        return images[path.source]
+        return images[source]
     acc = images[edges[0]]
     for e in edges[1:]:
         acc = acc * images[e]
@@ -389,10 +388,10 @@ def path_image(path: Path, images: Mapping):
 
 
 def evaluate_monomial(m: Monomial, images: Mapping):
-    left = path_image(m.left, images)
+    left = path_image(m[2], m[1], images)
     if not m[3]:
         return left
-    return left * path_image(m.right, images).star()
+    return left * path_image(m[5], m[4], images).star()
 
 
 def evaluate_element(x: AlgebraElement, images: Mapping):

@@ -121,25 +121,6 @@ class GeneratorMap(Record):
         return evaluate_element(x, self.images)
 
 
-def _factor_path(g, block: Block, index: dict, path: Path):
-    """Write ``path`` (ending at the block target) as q_i . c^k; (i, k).
-
-    ``index`` maps each enumerated path of the block to its position.
-    """
-    turns = 0
-    if block.kind == "cycle":
-        cut = g.path_vertices(path).index(block.target)
-        rest = path.edges[cut:]
-        turns, cyc = divmod(len(rest), block.cycle.length)
-        if cyc != 0 or rest != block.cycle.edges * turns:
-            raise ClassificationBug(f"path {path} does not factor through cycle {block.cycle}")
-        path = Path(path.source, path.edges[:cut])
-    i = index.get(path)
-    if i is None:
-        raise ClassificationBug(f"path {path} is not in the enumeration of {block.target}")
-    return i, turns
-
-
 def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
                         field: Field = QQ) -> GeneratorMap:
     """Construct and fully verify the generator map of a no-exit object.
@@ -147,7 +128,9 @@ def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
     ``sig``, when given, must equal ``classify(obj)``; it is cross-checked.
     Path q_j of a block puts e_jj into the image of its source, and each
     edge e into that source puts e_ij t^k into the image of e, where
-    e.q_j = q_i c^k.
+    e.q_j = q_i c^k.  A path that enters a cycle cannot leave it, and a sink
+    or an unrelated target lies on no cycle, so k = 0 and q_i = e.q_j, except
+    for the edge e that leaves a cycle base target: e.q_j = c = q_0 c.
     """
     blocks = blocks_of(obj)
     if sig is not None and sig != _signature(blocks):
@@ -160,8 +143,13 @@ def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
         for j, q in enumerate(b.paths):
             terms[q.source][(bi, j, j, 0)] = field.one
             for e in g.in_edges(q.source):
-                i, k = _factor_path(g, b, index, Path(g.src(e), (e,) + q.edges))
-                terms[e][(bi, i, j, k)] = field.one
+                if b.kind == "cycle" and g.src(e) == b.target:
+                    terms[e][(bi, 0, j, 1)] = field.one
+                    continue
+                path = Path(g.src(e), (e,) + q.edges)
+                if path not in index:
+                    raise ClassificationBug(f"path {path} is not in the enumeration of {b.target}")
+                terms[e][(bi, index[path], j, 0)] = field.one
     images = {x: GradedMatrix(algebra, t) for x, t in terms.items()}
     gmap = GeneratorMap(obj, AlgebraContext(obj, field), blocks, algebra, images)
     _verify_generator_map(gmap)
@@ -226,7 +214,7 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
                 image_of[q] = images[w]
         lefts = [[(image_of[q] * mid, 0)] for q in b.paths]
         if b.kind == "cycle":
-            cyc = path_image(b.cycle, images)
+            cyc = path_image(b.cycle.source, b.cycle.edges, images)
             for q, row in zip(b.paths, lefts):
                 row.append((image_of[q] * cyc * mid, 1))
                 row.append((image_of[q] * mid * cyc.star(), -1))

@@ -9,19 +9,22 @@ ring of period n the entry t^k has internal degree k*n.  An element of a
 stored sparsely, as the coefficients of its matrix units e_ij t^k keyed by
 (block, i, j, k).
 
-The classification invariant :class:`MatricialSignature` collects such blocks
-in a canonical form: shifts are normalized (for Laurent blocks up to circular
-translation modulo the period, which a change of the distinguished cycle
-vertex induces) and blocks are sorted.
+Two blocks are graded isomorphic exactly when their shifts agree up to a
+permutation and a uniform translation, modulo the period for a Laurent block
+(re-basing the cycle induces one).  :func:`canonical_shifts` absorbs both into
+one key, which the signature :class:`MatricialSignature` keeps per block and
+:func:`decide_graded_iso` pairs blocks by.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Optional
 
 from ._record import Record
-from .errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
+from .errors import (AlgebraMismatch, ClassificationBug, FieldMismatch, GraphFormatError,
+                     OracleScaleExceeded)
 from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar
 
 
@@ -47,6 +50,8 @@ class GradedMatrixAlgebra(Record):
         shifts = tuple(self.shifts)
         _check_block(self.size, shifts, () if self.period is None else (self.period,))
         object.__setattr__(self, "shifts", shifts)
+
+    canonical = cached_property(lambda self: canonical_shifts(self.shifts, self.period or 0))
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
         return tpow * (self.period or 0) + self.shifts[i] - self.shifts[j]
@@ -97,13 +102,10 @@ class DirectSum(Record):
 
 def component_dim(algebra: GradedMatrixAlgebra, delta: int) -> int:
     """Dimension (over K) of the degree-``delta`` component."""
-    g = algebra.shifts
-    if algebra.kind == "field":
-        return sum(1 for i in range(algebra.size) for j in range(algebra.size)
-                   if g[i] - g[j] == delta)
-    n = algebra.period
-    return sum(1 for i in range(algebra.size) for j in range(algebra.size)
-               if (delta - g[i] + g[j]) % n == 0)
+    g, n = algebra.shifts, algebra.period
+    if n is None:
+        return sum(1 for x in g for y in g if x - y == delta)
+    return sum(1 for x in g for y in g if (delta - x + y) % n == 0)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -237,21 +239,22 @@ _new = object.__new__
 # -- the classification invariant ---------------------------------------------
 
 
-def canonical_field_shifts(shifts) -> tuple:
-    s = sorted(int(x) for x in shifts)
-    return tuple(x - s[0] for x in s)
+def canonical_shifts(shifts, period: int = 0) -> tuple:
+    """(key, bases): the smallest sorted translate of the shifts, modulo the
+    period for a Laurent block (period 0 is a field block), and the values
+    whose subtraction reaches it.
 
-
-def canonical_laurent_shifts(shifts, period: int) -> tuple:
-    """Lexicographically smallest circular translation of the shifts mod period.
-
-    Uniform translation modulo the period is induced by re-basing the cycle,
-    so the canonical form must absorb it; reducing the minimum to 0 alone
-    does not.  The smallest translation starts at 0, so only translations
-    that move some shift to 0 are tried.
+    A field block has one base, its minimum.  The smallest Laurent translate
+    starts at 0, so its bases are residues of the shifts; several reach the
+    key when the residues are symmetric.
     """
-    reduced = [int(x) % period for x in shifts]
-    return min(tuple(sorted((x - y) % period for x in reduced)) for y in set(reduced))
+    if not period:
+        low = min(shifts)
+        return tuple(sorted(x - low for x in shifts)), (low,)
+    residues = [x % period for x in shifts]
+    translates = {y: tuple(sorted((x - y) % period for x in residues)) for y in set(residues)}
+    key = min(translates.values())
+    return key, tuple(sorted(y for y, t in translates.items() if t == key))
 
 
 def _check_block(size, shifts, periods=()) -> None:
@@ -278,9 +281,8 @@ class MatricialSignature(Record):
             _check_block(k, sh)
         for m, n, sh in self.laurent_blocks:
             _check_block(m, sh, (n,))
-        fb = tuple(sorted((k, canonical_field_shifts(sh)) for k, sh in self.field_blocks))
-        lb = tuple(sorted((m, n, canonical_laurent_shifts(sh, n))
-                          for m, n, sh in self.laurent_blocks))
+        fb = tuple(sorted((k, canonical_shifts(sh)[0]) for k, sh in self.field_blocks))
+        lb = tuple(sorted((m, n, canonical_shifts(sh, n)[0]) for m, n, sh in self.laurent_blocks))
         object.__setattr__(self, "field_blocks", fb)
         object.__setattr__(self, "laurent_blocks", lb)
 
@@ -341,39 +343,30 @@ class IsoDecision(Record):
     note: str = ""
 
 
-def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> Optional[BlockMatch]:
-    """Permutation + uniform translation matching of shifts, or None.
+def _key(alg: GradedMatrixAlgebra) -> tuple:
+    """Equal exactly for graded isomorphic blocks."""
+    return alg.kind, alg.size, alg.period, alg.canonical[0]
 
-    The translation is the uniform amount added to the first algebra's shifts
-    to reach the second's (modulo the period for Laurent blocks).
+
+def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> BlockMatch:
+    """The unit-level map of two blocks with equal :func:`_key`.
+
+    The translation d is added to a's shifts to reach b's (modulo the period
+    for Laurent blocks).  Equal keys make base_b - y one for every base y of
+    a; the least is taken.  Indices pair in the order of their translated
+    shifts, and the t-powers absorb multiples of the period (0 in a field).
     """
-    if a.kind != b.kind or a.size != b.size:
-        return None
-    if a.kind == "laurent" and a.period != b.period:
-        return None
-    order_a = sorted(range(a.size), key=lambda i: (a.shifts[i], i))
-    order_b = sorted(range(b.size), key=lambda i: (b.shifts[i], i))
-    if a.kind == "field":
-        d = min(b.shifts) - a.shifts[order_a[0]]
-        if any(b.shifts[j] != a.shifts[i] + d for i, j in zip(order_a, order_b)):
-            return None
-        perm = [0] * a.size
-        for i, j in zip(order_a, order_b):
-            perm[i] = j
-        return BlockMatch(tuple(perm), d, (0,) * a.size)
-    # a matching translation moves some shift of a onto the smallest residue of b
-    n = a.period
-    res_b = sorted((b.shifts[i] % n, i) for i in range(b.size))
-    for d in sorted({(res_b[0][0] - x) % n for x in a.shifts}):
-        res_a = sorted(((a.shifts[i] + d) % n, i) for i in range(a.size))
-        if [r for r, _ in res_a] == [r for r, _ in res_b]:
-            perm = [0] * a.size
-            tpowers = [0] * a.size
-            for (_, i), (_, j) in zip(res_a, res_b):
-                perm[i] = j
-                tpowers[i] = (a.shifts[i] + d - b.shifts[j]) // n
-            return BlockMatch(tuple(perm), d, tuple(tpowers))
-    return None
+    n = a.period or 0
+    wrap = (lambda x: x % n) if n else (lambda x: x)
+    base_b = b.canonical[1][0]
+    d = min(wrap(base_b - y) for y in a.canonical[1])
+    order_a = sorted(range(a.size), key=lambda i: (wrap(a.shifts[i] + d), i))
+    order_b = sorted(range(b.size), key=lambda j: (wrap(b.shifts[j]), j))
+    perm, tpowers = [0] * a.size, [0] * a.size
+    for i, j in zip(order_a, order_b):
+        perm[i] = j
+        tpowers[i] = (a.shifts[i] + d - b.shifts[j]) // (n or 1)
+    return BlockMatch(tuple(perm), d, tuple(tpowers))
 
 
 def _verify_block_match(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra,
@@ -398,55 +391,51 @@ def _verify_block_match(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra,
                for i in range(n))
 
 
-def _scan_window(spreads, periods) -> int:
-    return 2 * max(spreads, default=0) + max(periods, default=1)
-
-
 def decide_graded_iso(a, b) -> IsoDecision:
     """Decide graded *-isomorphism of shifted matrix algebras or signatures.
 
-    Yes verdicts carry a machine-checked unit-level map; No verdicts carry a
-    degree at which the component dimensions differ (scanned over a finite
-    window, recorded in the certificate); everything else is Unknown.
-    Accepts single algebras, signatures, or a mix.
+    Each block of ``a`` pairs with the first unpaired block of ``b`` with its
+    canonical key, by a unit-level map proved by its shift equations.  Yes
+    when no block is left unpaired.  No carries a degree at which the
+    component dimensions differ, scanned over a finite window (recorded in
+    the certificate) at the degrees of the unpaired blocks only, since paired
+    blocks have equal dimensions.  Else Unknown.  Accepts single algebras,
+    signatures, or a mix.
     """
     base_a = a.base if isinstance(a, GradedMatrixAlgebra) else QQ
-    base_b = b.base if isinstance(b, GradedMatrixAlgebra) else QQ
-    if isinstance(a, GradedMatrixAlgebra) and isinstance(b, GradedMatrixAlgebra):
-        if base_a != base_b:
-            raise FieldMismatch(f"{base_a!r} vs {base_b!r}")
+    if isinstance(a, GradedMatrixAlgebra) and isinstance(b, GradedMatrixAlgebra) and a.base != b.base:
+        raise FieldMismatch(f"{a.base!r} vs {b.base!r}")
 
     # raw algebras keep their raw shifts so the witness translation is theirs;
     # signatures are canonical already
     algs_a = (a,) if isinstance(a, GradedMatrixAlgebra) else a.algebras(base_a)
     algs_b = (b,) if isinstance(b, GradedMatrixAlgebra) else b.algebras(base_a)
 
-    # structural matching: pair up blocks related by permutation + translation
-    if len(algs_a) == len(algs_b):
-        remaining = list(range(len(algs_b)))
-        matches = []
-        for blk in algs_a:
-            found = None
-            for idx in remaining:
-                m = _match_block(blk, algs_b[idx])
-                if m is not None and _verify_block_match(blk, algs_b[idx], m):
-                    found = (idx, m)
-                    break
-            if found is None:
-                matches = None
-                break
-            remaining.remove(found[0])
-            matches.append(found[1])
-        if matches is not None:
-            return IsoDecision("yes", tuple(matches))
+    free: dict = {}               # key -> B's unpaired blocks with it, last first
+    for alg in reversed(algs_b):
+        free.setdefault(_key(alg), []).append(alg)
+    matches, unpaired = [], []
+    for alg in algs_a:
+        twins = free.get(_key(alg))
+        if not twins:
+            unpaired.append(alg)
+            continue
+        twin = twins.pop()
+        m = _match_block(alg, twin)
+        if not _verify_block_match(alg, twin, m):
+            raise ClassificationBug(f"{m} does not carry {alg.describe()} onto {twin.describe()}")
+        matches.append(m)
+    unpaired.extend(alg for twins in free.values() for alg in twins)
+    if not unpaired:
+        return IsoDecision("yes", tuple(matches))
 
-    spreads = [alg.spread() for alg in algs_a + algs_b]
-    periods = [alg.period for alg in algs_a + algs_b if alg.kind == "laurent"]
-    window = _scan_window(spreads, periods)
+    algs = algs_a + algs_b
+    window = (2 * max(alg.spread() for alg in algs)
+              + max((alg.period for alg in algs if alg.period), default=1))
     # scan outward from 0 so the certificate is the most central distinguisher;
-    # a degree where every block's component is zero cannot distinguish
+    # a degree where every unpaired block's component is zero cannot distinguish
     degrees = set()
-    for alg in algs_a + algs_b:
+    for alg in unpaired:
         diffs = {x - y for x in alg.shifts for y in alg.shifts}
         if alg.kind == "field":
             degrees |= diffs      # the window covers every spread
@@ -459,11 +448,8 @@ def decide_graded_iso(a, b) -> IsoDecision:
         db = sum(component_dim(alg, delta) for alg in algs_b)
         if da != db:
             return IsoDecision("no", certificate=(delta, da, db, window))
-    return IsoDecision(
-        "unknown",
-        note=f"component dimensions agree on |delta| <= {window} "
-        "but no translation matching was found",
-    )
+    return IsoDecision("unknown", note=f"component dimensions agree on |delta| <= {window} "
+                       "but no translation matching was found")
 
 
 # -- brute-force oracle over GF(2) ----------------------------------------------

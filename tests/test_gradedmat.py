@@ -1,22 +1,26 @@
 """Shifted matrix algebras: components, involution, iso decision, oracle."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clpa.errors import AlgebraMismatch, FieldMismatch, GraphFormatError, OracleScaleExceeded
+from clpa import gradedmat
+from clpa.errors import (AlgebraMismatch, ClassificationBug, FieldMismatch, GraphFormatError,
+                         OracleScaleExceeded)
 from clpa.gradedmat import (
     BlockMatch,
     DirectSum,
     GradedMatrix,
     GradedMatrixAlgebra,
     MatricialSignature,
+    _key,
     _match_block,
     _verify_block_match,
     brute_force_iso_oracle,
-    canonical_laurent_shifts,
+    canonical_shifts,
     component_dim,
     decide_graded_iso,
     signature_from_json,
@@ -169,8 +173,8 @@ class TestSignature:
 
     def test_canonical_laurent_circular(self):
         # {0,3} and {0,1} mod 4 are the same set up to circular translation
-        assert canonical_laurent_shifts((0, 3), 4) == canonical_laurent_shifts((0, 1), 4)
-        assert canonical_laurent_shifts((0, 3), 4) == (0, 1)
+        assert canonical_shifts((0, 3), 4)[0] == canonical_shifts((0, 1), 4)[0]
+        assert canonical_shifts((0, 3), 4)[0] == (0, 1)
 
     def test_block_sorting(self):
         s = MatricialSignature(((2, (0, 1)), (1, (0,))), ())
@@ -267,6 +271,23 @@ class TestDecideGradedIso:
         sig3 = MatricialSignature(((1, (0,)), (2, (0, 0))), ())
         assert decide_graded_iso(sig1, sig3).verdict == "no"
 
+    def test_scan_skips_paired_blocks(self):
+        # the paired period-1 Laurent blocks would make every degree of the
+        # 200 001-wide window a candidate; the unpaired field blocks name three
+        a = MatricialSignature(((2, (0, 100_000)),), ((1, 1, (0,)),))
+        b = MatricialSignature(((2, (0, 99_999)),), ((1, 1, (0,)),))
+        start = time.perf_counter()
+        d = decide_graded_iso(a, b)
+        assert time.perf_counter() - start < 0.5
+        assert d.verdict == "no"
+        assert d.certificate == (99_999, 1, 2, 200_001)
+
+    def test_failed_pair_proof_is_a_bug(self, monkeypatch):
+        a = M("field", 2, (0, 1))
+        monkeypatch.setattr(gradedmat, "_match_block", lambda x, y: BlockMatch((0, 0), 0, (0, 0)))
+        with pytest.raises(ClassificationBug):
+            decide_graded_iso(a, a)
+
 
 class TestOracle:
     def test_translation_pair(self):
@@ -352,8 +373,8 @@ class TestBlockMatchProof:
     def test_proof_agrees_with_unit_products_on_every_match(self):
         matched = 0
         for a, b in _block_pairs():
-            m = _match_block(a, b)
-            if m is not None:
+            if _key(a) == _key(b):
+                m = _match_block(a, b)
                 assert _verify_block_match(a, b, m) == _unit_products_oracle(a, b, m) is True
                 matched += 1
         assert matched > 100
@@ -415,6 +436,14 @@ class TestBlockMatchProof:
                     accepted += 1
         assert accepted > 100
 
+    def test_symmetric_laurent_residues_take_the_least_translation(self):
+        # residues {1, 3} reach {0, 2} mod 4 by translation 1 and by 3
+        a = M("laurent", 2, (1, 3), period=4)
+        b = M("laurent", 2, (0, 2), period=4)
+        m = _match_block(a, b)
+        assert m.translation == 1
+        assert _verify_block_match(a, b, m)
+
     def test_wrong_permutation_rejected(self):
         a = M("field", 3, (0, 1, 2))
         b = M("field", 3, (4, 5, 6))
@@ -424,6 +453,29 @@ class TestBlockMatchProof:
             want = perm == good.permutation
             assert _unit_products_oracle(a, b, m) == want
             assert _verify_block_match(a, b, m) == want
+
+
+@st.composite
+def isomorphic_images(draw):
+    """A raw block of size <= 3 and an image: its shifts permuted, translated
+    and, in a Laurent block, moved by multiples of the period."""
+    kind = draw(st.sampled_from(["field", "laurent"]))
+    size = draw(st.integers(1, 3))
+    shifts = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+    period = draw(st.integers(1, 4)) if kind == "laurent" else None
+    d = draw(st.integers(-10, 10))
+    moved = [x + d + (draw(st.integers(-2, 2)) * period if period else 0) for x in shifts]
+    image = draw(st.permutations(moved))
+    return M(kind, size, shifts, period=period), M(kind, size, image, period=period)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=isomorphic_images())
+def test_isomorphic_images_are_matched(case):
+    a, b = case
+    d = decide_graded_iso(a, b)
+    assert d.verdict == "yes"
+    assert all(_unit_products_oracle(a, b, m) for m in d.matches)
 
 
 # -- sparse elements against a dense reference ----------------------------------
