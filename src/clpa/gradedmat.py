@@ -18,6 +18,7 @@ one key, which the signature :class:`MatricialSignature` keeps per block and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import cached_property
 from typing import Optional
@@ -52,6 +53,8 @@ class GradedMatrixAlgebra(Record):
         object.__setattr__(self, "shifts", shifts)
 
     canonical = cached_property(lambda self: canonical_shifts(self.shifts, self.period or 0))
+    # equal exactly for graded isomorphic blocks
+    key = property(lambda self: (self.kind, self.size, self.period, self.canonical[0]))
 
     def unit_degree(self, i: int, j: int, tpow: int = 0) -> int:
         return tpow * (self.period or 0) + self.shifts[i] - self.shifts[j]
@@ -286,15 +289,15 @@ class MatricialSignature(Record):
         object.__setattr__(self, "field_blocks", fb)
         object.__setattr__(self, "laurent_blocks", lb)
 
-    def algebras(self, base: Field = QQ) -> tuple:
-        out = [GradedMatrixAlgebra("field", k, sh, base=base)
-               for k, sh in self.field_blocks]
-        out.extend(GradedMatrixAlgebra("laurent", m, sh, period=n, base=base)
-                   for m, n, sh in self.laurent_blocks)
-        return tuple(out)
+    @cached_property
+    def algebras(self) -> tuple:
+        """The canonical blocks over QQ, field blocks first, built on first read."""
+        return (*(GradedMatrixAlgebra("field", k, sh) for k, sh in self.field_blocks),
+                *(GradedMatrixAlgebra("laurent", m, sh, period=n)
+                  for m, n, sh in self.laurent_blocks))
 
     def describe(self) -> str:
-        return " + ".join(a.describe() for a in self.algebras()) or "0"
+        return " + ".join(a.describe() for a in self.algebras) or "0"
 
 
 def signature_to_json(sig: MatricialSignature) -> dict:
@@ -343,13 +346,8 @@ class IsoDecision(Record):
     note: str = ""
 
 
-def _key(alg: GradedMatrixAlgebra) -> tuple:
-    """Equal exactly for graded isomorphic blocks."""
-    return alg.kind, alg.size, alg.period, alg.canonical[0]
-
-
 def _match_block(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> BlockMatch:
-    """The unit-level map of two blocks with equal :func:`_key`.
+    """The unit-level map of two blocks with equal ``key``.
 
     The translation d is added to a's shifts to reach b's (modulo the period
     for Laurent blocks).  Equal keys make base_b - y one for every base y of
@@ -402,21 +400,19 @@ def decide_graded_iso(a, b) -> IsoDecision:
     blocks have equal dimensions.  Else Unknown.  Accepts single algebras,
     signatures, or a mix.
     """
-    base_a = a.base if isinstance(a, GradedMatrixAlgebra) else QQ
     if isinstance(a, GradedMatrixAlgebra) and isinstance(b, GradedMatrixAlgebra) and a.base != b.base:
         raise FieldMismatch(f"{a.base!r} vs {b.base!r}")
 
     # raw algebras keep their raw shifts so the witness translation is theirs;
-    # signatures are canonical already
-    algs_a = (a,) if isinstance(a, GradedMatrixAlgebra) else a.algebras(base_a)
-    algs_b = (b,) if isinstance(b, GradedMatrixAlgebra) else b.algebras(base_a)
+    # signatures keep their canonical blocks
+    algs_a, algs_b = ((x,) if isinstance(x, GradedMatrixAlgebra) else x.algebras for x in (a, b))
 
     free: dict = {}               # key -> B's unpaired blocks with it, last first
     for alg in reversed(algs_b):
-        free.setdefault(_key(alg), []).append(alg)
+        free.setdefault(alg.key, []).append(alg)
     matches, unpaired = [], []
     for alg in algs_a:
-        twins = free.get(_key(alg))
+        twins = free.get(alg.key)
         if not twins:
             unpaired.append(alg)
             continue
@@ -433,17 +429,19 @@ def decide_graded_iso(a, b) -> IsoDecision:
     window = (2 * max(alg.spread() for alg in algs)
               + max((alg.period for alg in algs if alg.period), default=1))
     # scan outward from 0 so the certificate is the most central distinguisher;
-    # a degree where every unpaired block's component is zero cannot distinguish
-    degrees = set()
+    # a degree where every unpaired block's component is zero cannot distinguish.
+    # Every run is in scan order, so merging them never lists the window.
+    central = lambda d: (abs(d), d < 0)
+    runs = []
     for alg in unpaired:
         diffs = {x - y for x in alg.shifts for y in alg.shifts}
         if alg.kind == "field":
-            degrees |= diffs      # the window covers every spread
+            runs.append(sorted(diffs, key=central))   # the window covers every spread
         else:
             n = alg.period
             for r in {d % n for d in diffs}:
-                degrees.update(range(-window + (r + window) % n, window + 1, n))
-    for delta in sorted(degrees, key=lambda d: (abs(d), d < 0)):
+                runs += range(r, window + 1, n), range(r - n, -window - 1, -n)
+    for delta, _ in itertools.groupby(heapq.merge(*runs, key=central)):
         da = sum(component_dim(alg, delta) for alg in algs_a)
         db = sum(component_dim(alg, delta) for alg in algs_b)
         if da != db:

@@ -1,7 +1,9 @@
 """Shifted matrix algebras: components, involution, iso decision, oracle."""
 
 import itertools
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from clpa.gradedmat import (
     GradedMatrix,
     GradedMatrixAlgebra,
     MatricialSignature,
-    _key,
     _match_block,
     _verify_block_match,
     brute_force_iso_oracle,
@@ -282,11 +283,93 @@ class TestDecideGradedIso:
         assert d.verdict == "no"
         assert d.certificate == (99_999, 1, 2, 200_001)
 
+    def test_scan_never_lists_the_window(self):
+        # the unpaired period-1 Laurent block makes every degree of the
+        # 2 000 002-wide window a candidate; the scan stops at the first
+        a = MatricialSignature(((2, (0, 1_000_000)),), ((1, 1, (0,)),))
+        b = MatricialSignature(((2, (0, 1_000_000)),), ((1, 2, (0,)),))
+        start = time.perf_counter()
+        d = decide_graded_iso(a, b)
+        assert time.perf_counter() - start < 0.5
+        assert d.certificate == (1, 1, 0, 2_000_002)
+
+    def test_scan_order_matches_a_walk_of_the_window(self):
+        found = Counter()
+        for algs_a, algs_b, a, b in _seeded_scan_pairs(random.Random(26), 400):
+            d = decide_graded_iso(a, b)
+            found[d.verdict] += 1
+            window, first = _first_distinguisher(algs_a, algs_b)
+            if d.verdict == "no":
+                assert d.certificate == first
+            elif d.verdict == "unknown":
+                assert first is None and f"|delta| <= {window} " in d.note
+        assert found["no"] > 100 and found["unknown"] > 20
+
     def test_failed_pair_proof_is_a_bug(self, monkeypatch):
         a = M("field", 2, (0, 1))
         monkeypatch.setattr(gradedmat, "_match_block", lambda x, y: BlockMatch((0, 0), 0, (0, 0)))
         with pytest.raises(ClassificationBug):
             decide_graded_iso(a, a)
+
+
+def _first_distinguisher(algs_a, algs_b):
+    """(window, certificate): walks the whole window [-window, window] in the
+    scan order (|delta|, delta < 0) for the first degree where the component
+    dimensions of the two sides differ; the certificate is None if none does."""
+    algs = [*algs_a, *algs_b]
+    window = (2 * max(alg.spread() for alg in algs)
+              + max((alg.period for alg in algs if alg.period), default=1))
+
+    def dims(side):
+        # a block's degree-delta dimension counts its (x, y) with x - y = delta,
+        # modulo the period in a Laurent block
+        counts = [(alg.period, Counter(x - y if alg.period is None else (x - y) % alg.period
+                                       for x in alg.shifts for y in alg.shifts))
+                  for alg in side]
+        return lambda delta: sum(c[delta if n is None else delta % n] for n, c in counts)
+
+    dim_a, dim_b = dims(algs_a), dims(algs_b)
+    for delta in sorted(range(-window, window + 1), key=lambda d: (abs(d), d < 0)):
+        if dim_a(delta) != dim_b(delta):
+            return window, (delta, dim_a(delta), dim_b(delta), window)
+    return window, None
+
+
+def _seeded_scan_pairs(rng, count):
+    """(algs_a, algs_b, a, b): single-block pairs and signature pairs with
+    shifts in -40..60 and periods 1..30, each B block a small change of its A
+    block (a moved shift, another period, or a reflected size-3 triple, whose
+    component dimensions agree at every degree)."""
+    def block():
+        size = rng.choice((1, 2, 3, 3, 4))
+        shifts = tuple(rng.randint(-40, 60) for _ in range(size))
+        if rng.random() < 0.5:
+            return M("field", size, shifts)
+        return M("laurent", size, shifts, period=rng.randint(1, 30))
+
+    def partner(alg):
+        shifts = list(alg.shifts)
+        if alg.size == 3 and rng.random() < 0.5:
+            lo, mid, hi = sorted(shifts)
+            shifts = [lo, lo + hi - mid, hi]
+        else:
+            shifts[rng.randrange(alg.size)] += rng.randint(-3, 3)
+        period = alg.period if alg.kind == "field" or rng.random() < 0.7 else rng.randint(1, 30)
+        return M(alg.kind, alg.size, shifts, period=period)
+
+    def signature(algs):
+        return MatricialSignature(
+            tuple((x.size, x.shifts) for x in algs if x.kind == "field"),
+            tuple((x.size, x.period, x.shifts) for x in algs if x.kind == "laurent"))
+
+    for i in range(count):
+        algs_a = [block() for _ in range(1 if i % 2 else rng.randint(1, 3))]
+        algs_b = [partner(alg) for alg in algs_a]
+        if i % 2:
+            yield algs_a, algs_b, algs_a[0], algs_b[0]
+        else:
+            a, b = signature(algs_a), signature(algs_b)
+            yield a.algebras, b.algebras, a, b
 
 
 class TestOracle:
@@ -373,7 +456,7 @@ class TestBlockMatchProof:
     def test_proof_agrees_with_unit_products_on_every_match(self):
         matched = 0
         for a, b in _block_pairs():
-            if _key(a) == _key(b):
+            if a.key == b.key:
                 m = _match_block(a, b)
                 assert _verify_block_match(a, b, m) == _unit_products_oracle(a, b, m) is True
                 matched += 1

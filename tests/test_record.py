@@ -19,7 +19,8 @@ import clpa
 from clpa._record import FrozenRecordError, Record
 from clpa.algebra import AlgebraContext, Monomial, check_generator_map, relative_generator_images
 from clpa.classify import blocks_of, build_generator_map, classify_system
-from clpa.gradedmat import DirectSum, GradedMatrix, GradedMatrixAlgebra, decide_graded_iso
+from clpa.gradedmat import (DirectSum, GradedMatrix, GradedMatrixAlgebra, MatricialSignature,
+                            decide_graded_iso)
 from clpa.graphs import Path, cycle_facts, relative_graph
 from clpa.monoid import (ChainWitness, MonoidElement, atomic_cancellative_verdict, equal,
                          presentation)
@@ -255,6 +256,23 @@ def test_relative_graph_and_cycles_built_once(monkeypatch, name):
     # which carries no cache) reads as before
     assert "relative" in vars(obj) and "_cycle_facts" in vars(obj.graph)
     assert (_semantics(obj), _semantics(obj.graph)) == before
+
+
+def test_signature_blocks_built_once(monkeypatch):
+    a = MatricialSignature(((2, (0, 3)),), ((1, 2, (0,)), (2, 3, (0, 1))))
+    b = MatricialSignature(((2, (5, 2)),), ((2, 3, (4, 5)), (1, 1, (0,))))
+    before = _semantics(a), _semantics(b)
+    builds = []
+    build = GradedMatrixAlgebra.__post_init__
+    monkeypatch.setattr(GradedMatrixAlgebra, "__post_init__",
+                        lambda alg: builds.append(alg) or build(alg))
+    first = decide_graded_iso(a, b)
+    assert len(builds) == 6
+    assert decide_graded_iso(a, b) == first and first.verdict == "no"
+    assert len(builds) == 6
+    # the blocks are cached outside the fields: every record operation reads as before
+    assert "algebras" in vars(a) and "algebras" in vars(b)
+    assert (_semantics(a), _semantics(b)) == before
 
 
 # -- Monomial: a flat tuple, not a record ---------------------------------------
