@@ -209,9 +209,6 @@ class AlgebraContext(Record):
             return v
         return None
 
-    def is_normal(self, m: Monomial) -> bool:
-        return self._reducible_at(m) is None
-
 
 def _add_term(out: dict, m: Monomial, c: Scalar) -> None:
     """Add c·m to the combination ``out``, dropping the term if it cancels."""

@@ -325,6 +325,12 @@ def signature_from_json(data) -> MatricialSignature:
               for b in data.get("laurent_blocks", [])]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError(f"signature JSON missing field: {exc}") from exc
+    for name, keys in (("field_blocks", {"size", "shifts"}),
+                       ("laurent_blocks", {"size", "period", "shifts"})):
+        for b in data.get(name, []):
+            if len(b) != len(keys):
+                raise GraphFormatError(f"{name} record {b!r} has unknown keys "
+                                       f"{sorted(set(b) - keys)}")
     return MatricialSignature(tuple(fb), tuple(lb))
 
 
@@ -428,20 +434,19 @@ def decide_graded_iso(a, b) -> IsoDecision:
     algs = algs_a + algs_b
     window = (2 * max(alg.spread() for alg in algs)
               + max((alg.period for alg in algs if alg.period), default=1))
-    # scan outward from 0 so the certificate is the most central distinguisher;
+    # component dimensions are symmetric in delta (swap x and y in the count),
+    # so the scan runs up from 0 and the certificate is the least distinguisher;
     # a degree where every unpaired block's component is zero cannot distinguish.
-    # Every run is in scan order, so merging them never lists the window.
-    central = lambda d: (abs(d), d < 0)
+    # Every run is ascending, so merging them never lists the window.
     runs = []
     for alg in unpaired:
         diffs = {x - y for x in alg.shifts for y in alg.shifts}
         if alg.kind == "field":
-            runs.append(sorted(diffs, key=central))   # the window covers every spread
+            runs.append(sorted(d for d in diffs if d >= 0))   # the window covers every spread
         else:
             n = alg.period
-            for r in {d % n for d in diffs}:
-                runs += range(r, window + 1, n), range(r - n, -window - 1, -n)
-    for delta, _ in itertools.groupby(heapq.merge(*runs, key=central)):
+            runs += (range(r, window + 1, n) for r in {d % n for d in diffs})
+    for delta, _ in itertools.groupby(heapq.merge(*runs)):
         da = sum(component_dim(alg, delta) for alg in algs_a)
         db = sum(component_dim(alg, delta) for alg in algs_b)
         if da != db:

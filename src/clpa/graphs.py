@@ -398,9 +398,6 @@ class SubobjectSystem(Record):
     # P as (sorted vertices, upper elements), see _poset
     poset = cached_property(lambda self: _poset(self.ambient))
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.masks[i] | self.masks[j] == self.masks[j]
-
     def covers(self) -> list:
         """Covering pairs (i, j) of the inclusion order (for DOT export).
 
@@ -487,20 +484,25 @@ def subobject_system(obj: CLObject) -> SubobjectSystem:
 # -- JSON interchange -------------------------------------------------------
 
 
+def graph_to_json(vertices: list, edges, s_set=None) -> dict:
+    """The JSON record of sorted vertex ids, (id, source, range) triples
+    sorted by id and, unless None, the sorted list S."""
+    data = {"vertices": vertices, "edges": [{"id": e, "src": s, "rng": r} for e, s, r in edges]}
+    if s_set is not None:
+        data["S"] = s_set
+    return data
+
+
 def object_to_json(obj: CLObject) -> dict:
-    return {
-        "vertices": sorted(obj.graph.vertices),
-        "edges": [
-            {"id": e, "src": obj.graph.src(e), "rng": obj.graph.rng(e)}
-            for e in sorted(obj.graph.edge_ids())
-        ],
-        "S": sorted(obj.s_set),
-    }
+    return graph_to_json(sorted(obj.graph.vertices), obj.graph.edges, sorted(obj.s_set))
 
 
 def object_from_json(data) -> CLObject:
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
+    unknown = sorted(set(data) - {"vertices", "edges", "S"})
+    if unknown:
+        raise GraphFormatError(f"graph JSON has unknown keys {unknown}")
     if "vertices" not in data:
         raise GraphFormatError("graph JSON missing field: 'vertices'")
     vertices, raw_edges, s_set = data["vertices"], data.get("edges", []), data.get("S", [])
@@ -513,6 +515,9 @@ def object_from_json(data) -> CLObject:
             edges.append((e["id"], e["src"], e["rng"]))
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"edge record {e!r} missing field") from exc
+        if len(e) != 3:
+            raise GraphFormatError(f"edge record {e!r} has unknown keys "
+                                   f"{sorted(set(e) - {'id', 'src', 'rng'})}")
     return CLObject(Graph(vertices, edges), s_set)
 
 

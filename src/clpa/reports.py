@@ -22,10 +22,10 @@ from functools import lru_cache
 
 from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
-from .classify import build_generator_map
-from .errors import NoCycle
+from .classify import build_generator_map, no_exit_violations
+from .errors import NoCycle, NotNoExitObject
 from .graphs import CLObject, Path, object_to_json
-from .monoid import ChainWitness, cycle_powers, exit_cycle_chain, prove
+from .monoid import ChainWitness, cancellation_witness, cycle_powers, exit_cycle_chain, prove
 from .scalars import QQ, Field
 
 
@@ -129,12 +129,6 @@ class PropertyReport(Record):
     notes: tuple
     witnesses: dict
 
-    def verdict(self, code: str) -> bool:
-        for e in self.entries:
-            if e.code == code:
-                return e.verdict
-        raise KeyError(code)
-
     def family_verdicts(self) -> dict:
         """Family -> verdict; every condition of a family shares its verdict."""
         return {e.family: e.verdict for e in self.entries}
@@ -190,16 +184,13 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     notes = []
     witnesses: dict = {}
     if not no_exit:
-        witnesses["noetherian_chain"] = noetherian_chain_witness(
-            rel.leavitt_object(), rel.graph.exit_cycle, field=field)
+        witnesses["noetherian_chain"] = chain_witness(obj, "noetherian", field=field)
         notes.append(
             "a cycle with an exit yields a strictly increasing chain of graded "
             "corner left ideals (see the noetherian_chain witness)"
         )
     if no_exit and not acyclic:
-        # a no-exit relative graph has the object's cycles, all inside S
-        cycle = rel.graph.cycles[0]
-        witnesses["artinian_failure"] = artinian_failure_witness(obj, cycle, field=field)
+        witnesses["artinian_failure"] = chain_witness(obj, "artinian", field=field)
         notes.append(
             "cycles are present: the algebra is graded locally artinian but not "
             "locally artinian, so the graded and non-graded artinian families "
@@ -211,6 +202,31 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
 
 
 # -- witnesses -------------------------------------------------------------------
+
+
+def chain_witness(obj: CLObject, kind: str, n_max: int = 2, field: Field = QQ) -> ChainWitness:
+    """The chain witness of ``kind`` on the cycle the verdicts rest on.
+
+    "noetherian" and "cancellation" take the shortest cycle with an exit of
+    the relative graph, the cycle of the monoid verdict; "artinian" takes the
+    first cycle of a no-exit object, all of whose cycles lie in S.  A
+    no-exit relative graph has the object's cycles, so :func:`report` and
+    ``clpa witness`` certify the same one.
+    """
+    if kind == "artinian":
+        violations = no_exit_violations(obj)
+        if violations:
+            raise NotNoExitObject("; ".join(violations))
+        if not obj.graph.cycles:
+            raise NoCycle("no cycle with all vertices in S")
+        return artinian_failure_witness(obj, obj.graph.cycles[0], n_max, field)
+    if kind not in ("noetherian", "cancellation"):
+        raise ValueError(f"unknown witness kind {kind!r}")
+    leavitt = obj.relative.leavitt_object()
+    if leavitt.graph.exit_cycle is None:
+        raise NoCycle("no cycle with an exit in the graph")
+    build = cancellation_witness if kind == "cancellation" else noetherian_chain_witness
+    return build(leavitt, leavitt.graph.exit_cycle, n_max, field)
 
 
 def noetherian_chain_witness(obj: CLObject, cycle: Path, n_max: int = 2,

@@ -56,6 +56,11 @@ def all_paths(graph: Graph, max_length: Optional[int] = None) -> list:
     return out
 
 
+def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
+    """The monomial is in normal form: rewriting leaves it unchanged."""
+    return ctx.from_raw([(ctx.field.one, m)]).terms == ((m, ctx.field.one),)
+
+
 def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> list:
     """All normal-form monomials p|q with paths of length at most ``max_each``."""
     paths = all_paths(ctx.graph, max_each)
@@ -67,7 +72,7 @@ def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> lis
         for p in group:
             for q in group:
                 m = Monomial(p, q)
-                if ctx.is_normal(m):
+                if is_normal(ctx, m):
                     out.append(m)
     out.sort()
     return out

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clpa import reports
 from clpa.algebra import AlgebraContext, Monomial
 from clpa.cli import main
 from clpa.errors import ParseError
 from clpa.expr import parse_expression
 from clpa.graphs import Path, object_to_json
 from clpa.monoid import atomic_cancellative_verdict
-from clpa.reports import report
+from clpa.reports import RelativeGraphReport, report
 
 from conftest import chain, fan, loop, random_object
 
@@ -242,6 +243,14 @@ def test_field_square_of_a_prime_above_17_exits_2(loop_file):
     assert "361 is not prime" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _run_in_process(argv):
+    """Exit code, stdout and stderr of ``clpa argv``, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _laurent_2x2(shifts):
     return {"laurent_blocks": [{"size": 2, "period": 3_000_000, "shifts": shifts}]}
 
@@ -366,6 +375,35 @@ class TestCli:
         assert proc.returncode == 0
         assert "3 complete subobjects" in proc.stdout
         assert dot.read_text().startswith("digraph")
+
+    def test_complete_dot_alone_lists_the_system(self, loop_file, tmp_path):
+        runs = []
+        for extra in ([], ["--system"]):
+            dot = tmp_path / f"system{len(extra)}.dot"
+            code, out, _ = _run_in_process(["complete", loop_file, *extra, "--dot", str(dot)])
+            assert code == 0
+            runs.append((out, dot.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].startswith("3 complete subobjects")
+
+    def test_relgraph_verification_failure_is_exit_3(self, rose_exit_file, monkeypatch):
+        real = reports.relgraph_verify
+
+        def failing(obj, field):
+            phi = real(obj, field).phi
+            return RelativeGraphReport(False, True, True, ("CK1 at v: forced",), (), phi)
+
+        monkeypatch.setattr(reports, "relgraph_verify", failing)
+        for extra in ([], ["--json"]):
+            code, out, err = _run_in_process(["relgraph", rose_exit_file, *extra])
+            assert code == 3
+            assert err == "internal verification failure: relative graph verification failed\n"
+            if extra:
+                assert json.loads(out)["verification"]["failures"] == ["CK1 at v: forced"]
+            else:
+                assert out.startswith("relative graph vertices: ")
+                assert out.endswith("relative graph verification FAILED; "
+                                    "vertex count ok, edge count ok\n")
 
     def test_complete_closure(self, tmp_path):
         ambient = tmp_path / "fan.json"

@@ -201,6 +201,8 @@ class TestSignature:
         ("field_blocks", {"size": 2, "shifts": "01"}),
         ("field_blocks", {"size": 1, "shifts": [0.5]}),
         ("field_blocks", {"size": 0, "shifts": []}),
+        ("field_blocks", {"size": 1, "shifts": [0], "period": 3}),
+        ("laurent_blocks", {"size": 1, "period": 1, "shifts": [0], "shift": [0]}),
     ])
     def test_malformed_json_blocks_rejected(self, key, block):
         with pytest.raises(GraphFormatError):

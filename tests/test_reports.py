@@ -8,6 +8,7 @@ from clpa.errors import NoCycle, NotAnExit, NotNoExitObject
 from clpa.graphs import Path
 from clpa.reports import (
     artinian_failure_witness,
+    chain_witness,
     noetherian_chain_witness,
     relgraph_verify,
     report,
@@ -27,34 +28,39 @@ from conftest import (
 )
 
 
+def _verdicts(rep) -> dict:
+    """Condition code -> verdict, from the report's entries."""
+    return {e.code: e.verdict for e in rep.entries}
+
+
 class TestReportVerdicts:
     def test_loop_with_relation(self):
         rep = report(loop())
         # noetherian and graded-artinian lattices hold, non-graded artinian fails
         for code in ("5", "8l", "9l", "10r", "11l", "15", "16l", "17r", "6", "7"):
-            assert rep.verdict(code), code
+            assert _verdicts(rep)[code], code
         for code in ("5'", "6'", "7'l", "8'l", "8'r"):
-            assert not rep.verdict(code), code
+            assert not _verdicts(rep)[code], code
         # sink-free with full relations: the Laurent-only family holds too
-        assert rep.verdict("5''")
+        assert _verdicts(rep)["5''"]
 
     def test_rose_all_families_fail(self):
         rep = report(rose())
         for code in ("5", "5'", "5''", "9l", "17l", "7"):
-            assert not rep.verdict(code), code
+            assert not _verdicts(rep)[code], code
 
     def test_acyclic_tree_everything_holds(self):
         rep = report(tree())
         for code in ("5", "5'", "8l", "15", "6'", "8'r"):
-            assert rep.verdict(code), code
-        assert not rep.verdict("5''")  # it has sinks
+            assert _verdicts(rep)[code], code
+        assert not _verdicts(rep)["5''"]  # it has sinks
 
     def test_toeplitz_case(self):
         # loop with S empty: the relative graph acquires an exit
         rep = report(loop(False))
         assert not rep.relative_no_exit
         for code in ("5", "9l", "15", "7"):
-            assert not rep.verdict(code), code
+            assert not _verdicts(rep)[code], code
         assert "noetherian_chain" in rep.witnesses
 
     def test_families_internally_consistent(self):
@@ -145,9 +151,13 @@ class TestArtinianWitness:
         # is no artinian-failure witness to give
         obj = loop_with_exit()
         c = obj.graph.exit_cycle
-        assert not report(obj).verdict("17l")
+        assert not _verdicts(report(obj))["17l"]
         with pytest.raises(NotNoExitObject):
             artinian_failure_witness(obj, c, 2)
+        with pytest.raises(NotNoExitObject):
+            chain_witness(obj, "artinian")
+        with pytest.raises(ValueError, match="unknown witness kind 'other'"):
+            chain_witness(obj, "other")
 
     def test_requires_cycle_in_s(self):
         obj = loop(False)
