@@ -1,8 +1,10 @@
 """Tiny exact linear algebra over the package's scalar fields.
 
 Only what the rest of the package needs: the rank of a family of sparse
-vectors (for linear-independence certificates) and a basis of the solution
-space of a homogeneous system (for relation-invariant weightings).  Gaussian
+vectors (for linear-independence certificates), a basis of the solution
+space of a homogeneous system (for relation-invariant weightings) and the
+inverse of a square matrix (for the GF(2) conjugation oracle).  All three
+run through :func:`_reduce`, the package's one row reduction: Gauss-Jordan
 elimination over dense rows, updating only the pivot row's support, is
 plenty at this scale, and floating point is not an option, so this stays
 hand-rolled.
@@ -69,3 +71,14 @@ def nullspace_basis(rows, ncols: int, field: Field):
             vec[p] = -m[r][f]
         basis.append(vec)
     return basis
+
+
+def inverse(rows, field: Field):
+    """M^-1 for a square row-list M, or None if M is singular: Gauss-Jordan
+    on [M | I], whose pivots are the first n columns exactly when M is invertible."""
+    n = len(rows)
+    m = [list(r) + [field.one if c == i else field.zero for c in range(n)]
+         for i, r in enumerate(rows)]
+    if _reduce(m, field) != list(range(n)):
+        return None
+    return [r[n:] for r in m]

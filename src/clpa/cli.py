@@ -25,12 +25,12 @@ from .expr import parse_expression
 from .gradedmat import decide_graded_iso, signature_from_json, signature_to_json
 from .graphs import (
     complete,
+    dot_lines,
     graph_to_json,
     load_object,
     object_to_json,
     read_json,
     subobject_system,
-    system_to_dot,
 )
 from .scalars import field_from_spec
 
@@ -100,7 +100,7 @@ def cmd_complete(args):
         system = subobject_system(ambient)
         if args.dot:
             with open(args.dot, "w") as fh:
-                fh.write(system_to_dot(system))
+                fh.writelines(dot_lines(system))
         count, top = len(system.masks), system.top_index
 
         def nodes():  # one node at a time, straight from its mask: systems can be large

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
+from ._linalg import inverse
 from ._record import Record
 from .errors import (AlgebraMismatch, ClassificationBug, FieldMismatch, GraphFormatError,
                      OracleScaleExceeded)
@@ -458,33 +459,28 @@ def decide_graded_iso(a, b) -> IsoDecision:
 # -- brute-force oracle over GF(2) ----------------------------------------------
 
 
-def _gf2_mat_mul(x, y):
-    n = len(x)
-    return [[sum(x[i][k] & y[k][j] for k in range(n)) & 1 for j in range(n)]
-            for i in range(n)]
-
-
-def _gf2_inverse(m):
-    n = len(m)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                a[r] = [(x ^ y) for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+@cache
+def _gl_gf2(n: int) -> tuple:
+    """Every invertible n x n matrix U over GF(2), once, by its supports: the
+    rows where each column of U is 1 and the columns where each row of U^-1 is 1."""
+    gf2 = PrimeField(2)
+    out = []
+    for bits in itertools.product((gf2.zero, gf2.one), repeat=n * n):
+        u = [bits[i * n:(i + 1) * n] for i in range(n)]
+        u_inv = inverse(u, gf2)
+        if u_inv is not None:
+            out.append((tuple(tuple(r for r in range(n) if u[r][i]) for i in range(n)),
+                        tuple(tuple(c for c in range(n) if u_inv[j][c]) for j in range(n))))
+    return tuple(out)
 
 
 def brute_force_iso_oracle(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> bool:
     """Exhaustive graded-isomorphism test for field blocks over GF(2), size <= 3.
 
-    Every algebra isomorphism of full matrix algebras is a conjugation, so it
-    suffices to enumerate the invertible matrices U and check that conjugation
-    maps each graded component into the matching component (checked on the
-    matrix units, which span the components).
+    Every algebra isomorphism of full matrix algebras is a conjugation by some
+    invertible U, and it is graded exactly when each unit image U e_ij U^-1,
+    the outer product of column i of U and row j of U^-1, has a nonzero entry
+    (r, c) only where b_r - b_c = a_i - a_j.
     """
     for alg in (a, b):
         if alg.kind != "field":
@@ -495,27 +491,9 @@ def brute_force_iso_oracle(a: GradedMatrixAlgebra, b: GradedMatrixAlgebra) -> bo
             raise OracleScaleExceeded(f"size {alg.size} exceeds the oracle bound 3")
     if a.size != b.size:
         return False
-    n = a.size
-    for bits in itertools.product((0, 1), repeat=n * n):
-        u = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
-        u_inv = _gf2_inverse(u)
-        if u_inv is None:
-            continue
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                unit = [[1 if (r, c) == (i, j) else 0 for c in range(n)]
-                        for r in range(n)]
-                conj = _gf2_mat_mul(_gf2_mat_mul(u, unit), u_inv)
-                want = a.shifts[i] - a.shifts[j]
-                if any(
-                    conj[r][c] and b.shifts[r] - b.shifts[c] != want
-                    for r in range(n) for c in range(n)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    n, sa, sb = a.size, a.shifts, b.shifts
+    for cols, rows in _gl_gf2(n):
+        if all(sb[r] - sb[c] == sa[i] - sa[j]
+               for i in range(n) for j in range(n) for r in cols[i] for c in rows[j]):
             return True
     return False

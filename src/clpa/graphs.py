@@ -156,10 +156,6 @@ class Path(Record):
 
     length = property(__len__)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.edges
-
     def sort_key(self):
         return (len(self.edges), self.edges, self.source)
 
@@ -347,9 +343,8 @@ class RelativeGraph(Record):
     primed_vertex: dict
     primed_edge: dict
 
-    def leavitt_object(self) -> CLObject:
-        """The relative graph with S = all regular vertices (full relations)."""
-        return CLObject(self.graph, self.graph.regular_vertices())
+    # the relative graph with S = all regular vertices (full relations), built on first read
+    leavitt = cached_property(lambda self: CLObject(self.graph, self.graph.regular_vertices()))
 
 
 def _fresh(name: str, taken: set) -> str:
@@ -398,8 +393,8 @@ class SubobjectSystem(Record):
     # P as (sorted vertices, upper elements), see _poset
     poset = cached_property(lambda self: _poset(self.ambient))
 
-    def covers(self) -> list:
-        """Covering pairs (i, j) of the inclusion order (for DOT export).
+    def covers(self):
+        """The covering pairs (i, j) of the inclusion order, sorted, one at a time.
 
         In a lattice of down-sets, J covers I exactly when J = I + {x} for
         an x outside I whose lower elements all lie in I.
@@ -407,11 +402,10 @@ class SubobjectSystem(Record):
         vertices, uppers = self.poset
         below = [0] * len(vertices) + [b for b, _, _ in uppers]
         index = {m: i for i, m in enumerate(self.masks)}
-        pairs = []
         for i, m in enumerate(self.masks):
             js = [index[m | 1 << x] for x, b in enumerate(below) if not m >> x & 1 and b | m == m]
-            pairs.extend((i, j) for j in sorted(js))
-        return pairs
+            for j in sorted(js):
+                yield i, j
 
     def contents(self, i: int) -> tuple:
         """Node i's vertex ids, edge triples and T, each sorted."""
@@ -535,15 +529,19 @@ def load_object(path: str) -> CLObject:
     return object_from_json(read_json(path))
 
 
-def system_to_dot(system: SubobjectSystem) -> str:
-    """Write-only DOT rendering of the inclusion order of complete subobjects."""
-    lines = ["digraph subobjects {", "  rankdir=BT;"]
+def dot_lines(system: SubobjectSystem):
+    """The lines of :func:`system_to_dot`, each as soon as it is known."""
+    yield "digraph subobjects {\n  rankdir=BT;\n"
     for i in range(len(system.masks)):
         vertices, edges, t_set = system.contents(i)
         label = "{%s};{%s};T={%s}" % (",".join(vertices), ",".join(e[0] for e in edges),
                                       ",".join(t_set))
-        lines.append(f'  n{i} [label="{label}"];')
+        yield f'  n{i} [label="{label}"];\n'
     for i, j in system.covers():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  n{i} -> n{j};\n"
+    yield "}\n"
+
+
+def system_to_dot(system: SubobjectSystem) -> str:
+    """Write-only DOT rendering of the inclusion order of complete subobjects."""
+    return "".join(dot_lines(system))

@@ -127,7 +127,7 @@ def path_count_invariant(pres: Presentation) -> Optional[dict]:
     N^(#sinks + #cycles) and respect every relation, so they induce a monoid
     map onto a free commutative monoid (an isomorphism in this case).
     """
-    leavitt = pres.rel.leavitt_object()
+    leavitt = pres.rel.leavitt
     if leavitt.graph.exit_cycle is not None:
         return None
     blocks = blocks_of(leavitt)
@@ -367,7 +367,7 @@ def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
         rank = len(next(iter(invariant.values()))) if invariant else 0
         return MonoidVerdict(True, invariant, rank, None, "relative graph is no-exit: the monoid is "
                              f"free commutative on {rank} generators (one per sink and per cycle)")
-    leavitt = pres.rel.leavitt_object()
+    leavitt = pres.rel.leavitt
     witness = cancellation_witness(leavitt, leavitt.graph.exit_cycle)
     return MonoidVerdict(False, None, None, witness,
                          "relative graph has a cycle with an exit: cancellation fails")

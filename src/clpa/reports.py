@@ -222,7 +222,7 @@ def chain_witness(obj: CLObject, kind: str, n_max: int = 2, field: Field = QQ) -
         return artinian_failure_witness(obj, obj.graph.cycles[0], n_max, field)
     if kind not in ("noetherian", "cancellation"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    leavitt = obj.relative.leavitt_object()
+    leavitt = obj.relative.leavitt
     if leavitt.graph.exit_cycle is None:
         raise NoCycle("no cycle with an exit in the graph")
     build = cancellation_witness if kind == "cancellation" else noetherian_chain_witness
@@ -275,10 +275,9 @@ def artinian_failure_witness(obj: CLObject, cycle: Path, n_max: int = 2,
         raise NoCycle(f"{cycle} is not a cycle of the graph")
     powers = cycle_powers(gmap.ctx, cycle, n_max + 1)
     vert, c = powers[0], powers[1]
-    triv = next(i for i, p in enumerate(gmap.blocks[block_index].paths) if p.is_trivial)
 
-    def unit(k):
-        return gmap.algebra.unit(block_index, triv, triv, k)
+    def unit(k):  # paths are sorted by length, so the trivial path is index 0
+        return gmap.algebra.unit(block_index, 0, 0, k)
 
     statements = [f"cycle {cycle} based at {base} (length {cycle.length})"]
     for n in range(1, n_max + 1):
@@ -338,7 +337,7 @@ def relgraph_verify(obj: CLObject, field: Field = QQ) -> RelativeGraphReport:
     is part of the axiom check.
     """
     rel, ctx, images = relative_generator_images(obj, field)
-    rep = check_generator_map(rel.leavitt_object(), images)
+    rep = check_generator_map(rel.leavitt, images)
     g, rg = obj.graph, rel.graph
     unrelated = set(g.regular_vertices()) - set(obj.s_set)
     vertex_ok = len(rg.vertices) == len(g.vertices) + len(unrelated)

@@ -237,7 +237,7 @@ def test_field_validated_by_every_subcommand(command, loop_file, rose_exit_file,
 
 
 def test_field_square_of_a_prime_above_17_exits_2(loop_file):
-    # 361 = 19 * 19 has no factor up to 17: only the Miller-Rabin rounds refuse it
+    # 361 = 19 * 19: trial division refuses it only at its last divisor, 19 = sqrt(361)
     proc = run_cli(["eval", "c|c", "--graph", loop_file, "--field", "gf:361"])
     assert proc.returncode == 2
     assert "361 is not prime" in proc.stderr and "Traceback" not in proc.stderr

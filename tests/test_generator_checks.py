@@ -156,7 +156,7 @@ def test_pruned_check_matches_reference_on_classification_images(seed, data):
 def test_pruned_check_matches_reference_on_relative_images(seed, data):
     obj = random_object(random.Random(seed))
     rel, ctx, images = relative_generator_images(obj, data.draw(st.sampled_from(FIELDS)))
-    target = rel.leavitt_object()
+    target = rel.leavitt
     assert assert_matches_reference(target, images).ok
     verts = sorted(rel.graph.vertices)
     if len(verts) >= 2:

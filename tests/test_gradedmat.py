@@ -409,6 +409,22 @@ class TestOracle:
                     assert decision.verdict != "unknown"
                     assert (decision.verdict == "yes") == brute_force_iso_oracle(a, b)
 
+    def test_size_three_sweep_against_the_oracle(self):
+        # the "unknown" pairs are the reflected class, e.g. (0, 0, 1) against (0, 1, 1)
+        verdicts = Counter()
+        for sa in itertools.product((0, 1, 2), repeat=3):
+            for sb in itertools.product((0, 1, 2), repeat=3):
+                a, b = M("field", 3, sa, base=GF2), M("field", 3, sb, base=GF2)
+                decision = decide_graded_iso(a, b)
+                assert (decision.verdict == "yes") == brute_force_iso_oracle(a, b), (sa, sb)
+                verdicts[decision.verdict] += 1
+        assert verdicts == {"yes": 135, "no": 504, "unknown": 90}
+
+    def test_invertible_matrices_are_listed_once_per_size(self):
+        # |GL_n(F_2)| = (2^n - 1)(2^n - 2)...(2^n - 2^(n-1))
+        assert [len(gradedmat._gl_gf2(n)) for n in (1, 2, 3)] == [1, 6, 168]
+        assert gradedmat._gl_gf2(3) is gradedmat._gl_gf2(3)
+
 
 # -- block matches: the injectivity proof against the unit products -------------
 

@@ -14,6 +14,7 @@ from clpa.graphs import (
     Path,
     complete,
     cycle_facts,
+    dot_lines,
     is_complete_subobject,
     object_from_json,
     object_to_json,
@@ -409,7 +410,7 @@ class TestSubobjectSystem:
                 for k in range(n)
             )
         ]
-        assert system.covers() == want
+        assert list(system.covers()) == want
 
     @pytest.mark.parametrize("obj", SYSTEM_CASES, ids=SYSTEM_IDS)
     def test_leq_is_inclusion_of_the_objects(self, obj):
@@ -425,12 +426,26 @@ class TestSubobjectSystem:
         system = subobject_system(fan(9))
         tracemalloc.start()
         try:
-            pairs = system.covers()
+            pairs = list(system.covers())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (len(system.masks), len(pairs)) == (20195, 120914)
         assert peak < 200 * (len(system.masks) + len(pairs)), peak
+
+    def test_dot_export_is_written_as_it_is_produced(self, tmp_path):
+        system = subobject_system(fan(9))
+        out = tmp_path / "fan9.dot"
+        tracemalloc.start()
+        try:
+            with open(out, "w") as fh:
+                fh.writelines(dot_lines(system))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 3_000_000
+        assert peak < size // 2, (peak, size)
 
     def test_all_nodes_complete(self):
         obj = fan(2, s_on=True)

@@ -6,7 +6,7 @@ from pathlib import Path as FilePath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clpa._linalg import nullspace_basis
+from clpa._linalg import inverse, nullspace_basis
 from clpa.algebra import AlgebraContext, Monomial, evaluate_element
 from clpa.classify import classify, no_exit_violations
 from clpa.graphs import (
@@ -248,6 +248,31 @@ def test_nullspace_basis_matches_dense_elimination(field, data):
 
 def test_nullspace_basis_of_no_equations_is_every_unit_vector():
     assert nullspace_basis([], 3, QQ) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _mat_mul(x, y, field) -> list:
+    return [[sum((a * b for a, b in zip(row, col)), field.zero) for col in zip(*y)] for row in x]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_inverse_of_an_invertible_matrix(field, data):
+    # M = P L U: a row permutation, unit lower and invertible upper triangular
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3])
+    diagonal = st.sampled_from([1, -1, 2, 3, 5]).filter(lambda x: field.from_int(x))
+    lower = [[data.draw(entry) if c < r else int(c == r) for c in range(n)] for r in range(n)]
+    upper = [[data.draw(diagonal) if c == r else data.draw(entry) if c > r else 0
+              for c in range(n)] for r in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    lower, upper = ([[field.from_int(x) for x in row] for row in m] for m in (lower, upper))
+    m = [_mat_mul(lower, upper, field)[r] for r in perm]
+    identity = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+    inv = inverse(m, field)
+    assert _mat_mul(m, inv, field) == identity
+    assert _mat_mul(inv, m, field) == identity
+    if n > 1:  # a repeated row makes it singular
+        assert inverse(m[:-1] + m[:1], field) is None
 
 
 @st.composite

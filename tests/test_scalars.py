@@ -61,6 +61,8 @@ class TestScalarArith:
             PrimeField(6)
         with pytest.raises(ValueError):
             PrimeField(2**31 + 11)
+        with pytest.raises(ValueError):
+            PrimeField(46_337 ** 2)  # below 2**31, its least factor near sqrt(2**31)
 
     def test_largest_allowed_modulus_accepted(self):
         assert PrimeField(2_147_483_647).p == 2**31 - 1
@@ -73,7 +75,7 @@ class TestScalarArith:
 
 
 class TestPrimality:
-    # the moduli above 17 with no factor up to 17 are where Miller-Rabin runs
+    # trial division runs to sqrt(n): composites with no small factor try it the longest
 
     def test_agrees_with_a_sieve_below_20000(self):
         sieve = [False, False] + [True] * (20_000 - 2)
