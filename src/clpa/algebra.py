@@ -373,25 +373,33 @@ class GeneratorMapReport(Record):
         return not self.failures and not self.degree_failures
 
 
-def path_image(source: str, edges: tuple, images: Mapping):
+def path_image(source: str, edges: tuple, images: Mapping, memo: dict):
     """The image of the path with this source and these edges: that of its
-    source if trivial, else the product of its edges' images."""
+    source if trivial, else the product of its edges' images.
+
+    ``memo`` maps edge tuples to images.  The product starts from the longest
+    suffix of ``edges`` found there and records each longer suffix, so each
+    new suffix costs one product.
+    """
     if not edges:
         return images[source]
-    acc = images[edges[0]]
-    for e in edges[1:]:
-        acc = acc * images[e]
+    # the longest recorded suffix starts at k; with none, k is the last edge
+    k = next((k for k in range(len(edges)) if edges[k:] in memo), len(edges) - 1)
+    acc = memo.setdefault(edges[k:], images[edges[k]])
+    for i in range(k - 1, -1, -1):
+        acc = memo[edges[i:]] = images[edges[i]] * acc
     return acc
 
 
-def evaluate_monomial(m: Monomial, images: Mapping):
-    left = path_image(m[2], m[1], images)
+def evaluate_monomial(m: Monomial, images: Mapping, memo: Optional[dict] = None):
+    memo = {} if memo is None else memo
+    left = path_image(m[2], m[1], images, memo)
     if not m[3]:
         return left
-    return left * path_image(m[5], m[4], images).star()
+    return left * path_image(m[5], m[4], images, memo).star()
 
 
-def evaluate_element(x: AlgebraElement, images: Mapping):
+def evaluate_element(x: AlgebraElement, images: Mapping, memo: Optional[dict] = None):
     """Push an algebra element through a generator assignment.
 
     The images must form a *-algebra in the element protocol sense: they
@@ -399,15 +407,16 @@ def evaluate_element(x: AlgebraElement, images: Mapping):
     ``degree_components()`` and ``support()``.  ``support()`` returns sets
     ``(left, right)`` such that x y = 0 whenever right(x) and left(y) are
     disjoint.  Equality ``==`` must be equality of elements, so each element
-    type keeps a canonical form.
+    type keeps a canonical form.  Path images go through ``memo``, a fresh
+    table when none is given, and the terms are added pairwise.
     """
-    total = None
-    for m, c in x.terms:
-        term = evaluate_monomial(m, images).scale(c)
-        total = term if total is None else total + term
-    if total is None:
+    memo = {} if memo is None else memo
+    parts = [evaluate_monomial(m, images, memo).scale(c) for m, c in x.terms]
+    if not parts:
         return next(iter(images.values())).zero()
-    return total
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2:]
+    return parts[0]
 
 
 def _meeting_pairs(names: list, firsts: Mapping, seconds: Mapping):

@@ -23,6 +23,7 @@ valid state, and raises ClassificationBug.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from ._record import Record
@@ -117,8 +118,11 @@ class GeneratorMap(Record):
     algebra: DirectSum        # one summand per block, in block order
     images: dict
 
+    # the path images, by edge tuple, that verification and evaluation share (see path_image)
+    path_images = cached_property(lambda self: {})
+
     def evaluate(self, x: AlgebraElement) -> GradedMatrix:
-        return evaluate_element(x, self.images)
+        return evaluate_element(x, self.images, self.path_images)
 
 
 def build_generator_map(obj: CLObject, sig: Optional[MatricialSignature] = None,
@@ -193,32 +197,23 @@ def _verify_generator_map(gmap: GeneratorMap) -> None:
         raise ClassificationBug(
             "generator map fails axioms: " + "; ".join(report.failures + report.degree_failures)
         )
-    g = gmap.obj.graph
     images = gmap.images
-    conditions = uniqueness_conditions(g, gmap.obj.s_set, images)
+    conditions = uniqueness_conditions(gmap.obj.graph, gmap.obj.s_set, images)
     for (v, gap), x in conditions.items():
         if x.is_zero():
             what = f"phi({v}) - sum of phi(e) phi(e)* over s(e) = {v}" if gap else f"phi({v})"
             raise ClassificationBug(f"generator map is not injective: {what} is 0")
     one = gmap.algebra.base.one
     for bi, b in enumerate(gmap.blocks):
-        w = b.target
-        mid = conditions[w, b.kind == "unrelated"]
-        # paths are sorted by length, so the suffix q' of q = e.q' comes first
-        image_of = {}
-        for q in b.paths:
-            if q.edges:
-                suffix = Path(g.rng(q.edges[0]), q.edges[1:])
-                image_of[q] = images[q.edges[0]] * image_of[suffix]
-            else:
-                image_of[q] = images[w]
-        lefts = [[(image_of[q] * mid, 0)] for q in b.paths]
+        mid = conditions[b.target, b.kind == "unrelated"]
+        paths = [path_image(q.source, q.edges, images, gmap.path_images) for q in b.paths]
+        lefts = [[(p * mid, 0)] for p in paths]
         if b.kind == "cycle":
-            cyc = path_image(b.cycle.source, b.cycle.edges, images)
-            for q, row in zip(b.paths, lefts):
-                row.append((image_of[q] * cyc * mid, 1))
-                row.append((image_of[q] * mid * cyc.star(), -1))
-        rights = [image_of[q].star() for q in b.paths]
+            cyc = path_image(b.cycle.source, b.cycle.edges, images, gmap.path_images)
+            for p, row in zip(paths, lefts):
+                row.append((p * cyc * mid, 1))
+                row.append((p * mid * cyc.star(), -1))
+        rights = [p.star() for p in paths]
         for i, (qi, row) in enumerate(zip(b.paths, lefts)):
             for j, (qj, right) in enumerate(zip(b.paths, rights)):
                 for left, tpow in row:

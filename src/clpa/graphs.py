@@ -515,13 +515,23 @@ def object_from_json(data) -> CLObject:
     return CLObject(Graph(vertices, edges), s_set)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; a repeated key raises ValueError naming it."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json(path: str):
-    """The JSON value in a file; malformed or too deeply nested text raises
-    GraphFormatError naming the file."""
+    """The JSON value in a file; malformed or too deeply nested text, or an
+    object with a repeated key, raises GraphFormatError naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise GraphFormatError(f"{path}: {exc}") from exc
 
 

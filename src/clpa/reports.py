@@ -18,8 +18,6 @@ graded-artinian-but-not-artinian.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ._record import Record
 from .algebra import check_generator_map, relative_generator_images
 from .classify import build_generator_map, no_exit_violations
@@ -30,7 +28,8 @@ from .scalars import QQ, Field
 
 
 # family: (description, the relative-graph predicates that decide it, all of
-# them required, and the justification of its verdict)
+# them required and each named as in PropertyReport's relative_* flags, and
+# the justification of its verdict)
 _NO_EXIT, _ACYCLIC = ("no_exit",), ("acyclic",)
 FAMILIES = {
     "union_matricial": ("directed union of graded matricial algebras over K and Laurent rings",
@@ -109,31 +108,24 @@ _CONDITIONS = [
 _CITATION_ONLY = {"12", "13", "14"}
 
 
-class ConditionEntry(Record):
-    code: str
-    family: str
-    statement: str
-    verdict: bool
-    justification: str
-    citation_only: bool = False
-
-
 class PropertyReport(Record):
-    """Per-condition verdicts plus constructive witnesses."""
+    """The relative-graph predicates, the family verdicts they decide, and witnesses."""
 
     obj: CLObject
     relative_no_exit: bool
     relative_acyclic: bool
     relative_sink_free: bool
-    entries: tuple
     notes: tuple
     witnesses: dict
 
     def family_verdicts(self) -> dict:
-        """Family -> verdict; every condition of a family shares its verdict."""
-        return {e.family: e.verdict for e in self.entries}
+        """Family -> verdict: true iff all of its deciding predicates hold.
+        Every condition of a family shares its verdict."""
+        return {fam: all(getattr(self, f"relative_{p}") for p in deciders)
+                for fam, (_, deciders, _) in FAMILIES.items()}
 
     def to_json(self) -> dict:
+        verdicts = self.family_verdicts()
         return {
             "object": object_to_json(self.obj),
             "relative_graph": {
@@ -141,36 +133,17 @@ class PropertyReport(Record):
                 "acyclic": self.relative_acyclic,
                 "sink_free": self.relative_sink_free,
             },
-            "families": {
-                fam: {"description": FAMILIES[fam][0], "verdict": verdict}
-                for fam, verdict in sorted(self.family_verdicts().items())
-            },
+            "families": {fam: {"description": FAMILIES[fam][0], "verdict": verdict}
+                         for fam, verdict in sorted(verdicts.items())},
             "conditions": [
-                {
-                    "code": e.code,
-                    "family": e.family,
-                    "statement": e.statement,
-                    "verdict": e.verdict,
-                    "justification": e.justification,
-                    "citation_only": e.citation_only,
-                }
-                for e in self.entries
+                {"code": code, "family": family, "statement": statement,
+                 "verdict": verdicts[family], "justification": FAMILIES[family][2],
+                 "citation_only": code in _CITATION_ONLY}
+                for code, family, statement in _CONDITIONS
             ],
             "notes": list(self.notes),
             "witnesses": {k: w.transcript() for k, w in self.witnesses.items()},
         }
-
-
-@lru_cache(maxsize=None)
-def _entries(no_exit: bool, acyclic: bool, sink_free: bool) -> tuple:
-    """The condition rows, which depend only on the three relative-graph predicates."""
-    facts = {"no_exit": no_exit, "acyclic": acyclic, "sink_free": sink_free}
-    rows = []
-    for code, family, statement in _CONDITIONS:
-        _, deciders, justification = FAMILIES[family]
-        rows.append(ConditionEntry(code, family, statement, all(facts[p] for p in deciders),
-                                   justification, citation_only=code in _CITATION_ONLY))
-    return tuple(rows)
 
 
 def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
@@ -179,7 +152,6 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
     no_exit = rel.graph.exit_cycle is None
     acyclic = not rel.graph.cycle_vertices
     sink_free = not rel.graph.sinks()
-    entries = _entries(no_exit, acyclic, sink_free)
 
     notes = []
     witnesses: dict = {}
@@ -196,9 +168,7 @@ def report(obj: CLObject, field: Field = QQ) -> PropertyReport:
             "locally artinian, so the graded and non-graded artinian families "
             "genuinely differ (the implication between them is strict)"
         )
-    return PropertyReport(
-        obj, no_exit, acyclic, sink_free, entries, tuple(notes), witnesses
-    )
+    return PropertyReport(obj, no_exit, acyclic, sink_free, tuple(notes), witnesses)
 
 
 # -- witnesses -------------------------------------------------------------------

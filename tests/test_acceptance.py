@@ -132,7 +132,7 @@ def test_criterion_3_loop_algebra():
     assert sig == MatricialSignature((), ((1, 1, (0,)),))
     ctx = AlgebraContext(obj)
     assert parse_expression("c|c", ctx) == ctx.vertex("v")
-    verdicts = {e.code: e.verdict for e in report(obj).entries}
+    verdicts = {c["code"]: c["verdict"] for c in report(obj).to_json()["conditions"]}
     noetherian = all(verdicts[c] for c in ("8l", "8r", "9l", "9r", "10l", "10r", "11l", "11r"))
     graded_artinian = all(verdicts[c] for c in ("15", "16l", "16r", "17l", "17r"))
     plain_artinian = any(verdicts[c] for c in ("6'", "7'l", "7'r", "8'l", "8'r"))

@@ -10,7 +10,9 @@ from clpa.algebra import (
     Monomial,
     check_generator_map,
     evaluate_element,
+    evaluate_monomial,
     is_idempotent,
+    path_image,
 )
 from clpa.errors import ContextMismatch, FieldMismatch, IncompleteMap, NonFiniteEnumeration
 from clpa.graphs import Graph, Path
@@ -296,6 +298,52 @@ class TestGeneratorMapChecking:
         for _ in range(20):
             x = random_element(ctx, rng)
             assert evaluate_element(x, images) == x
+
+
+class Word(str):
+    """A string whose product is concatenation, counting every product."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Word.products += 1
+        return Word(str(self) + other)
+
+
+class TestPathImage:
+    def test_products_in_path_order_and_trivial_paths(self):
+        images = {"v": Word("1"), "a": Word("a"), "b": Word("b")}
+        assert path_image("v", (), images, {}) == "1"
+        assert path_image("v", ("a", "b", "a"), images, {}) == "aba"
+
+    def test_each_new_suffix_costs_one_product(self):
+        images = {e: Word(e) for e in "abc"}
+        memo: dict = {}
+        Word.products = 0
+        assert path_image("v", tuple("abc"), images, memo) == "abc"
+        assert Word.products == 2
+        assert set(memo) == {("c",), ("b", "c"), ("a", "b", "c")}
+        assert path_image("v", tuple("cabc"), images, memo) == "cabc"
+        assert Word.products == 3
+        assert path_image("v", tuple("bc"), images, memo) == "bc"
+        assert Word.products == 3
+
+    def test_long_path_does_not_recurse(self):
+        # longer than the interpreter's recursion limit
+        images = {"c": Word("c")}
+        memo: dict = {}
+        assert path_image("v", ("c",) * 1500, images, memo) == "c" * 1500
+        assert len(memo) == 1500
+
+    def test_evaluate_element_shares_the_table(self):
+        obj = loop()
+        ctx = ctx_of(obj)
+        images = {"v": ctx.vertex("v"), "c": ctx.edge("c")}
+        x = sum((ctx.path_element(["c"] * k) for k in range(2, 6)), ctx.path_element(["c"]))
+        memo: dict = {}
+        assert evaluate_element(x, images, memo) == x
+        assert set(memo) == {("c",) * k for k in range(1, 6)}
+        assert evaluate_monomial(x.terms[0][0], images) == ctx.path_element(["c"])
 
 
 class TestPathsHelpers:

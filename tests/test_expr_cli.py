@@ -462,6 +462,19 @@ class TestCli:
         proc = run_cli(["classify", str(bad)])
         assert proc.returncode == 2
 
+    def test_repeated_key_is_exit_2(self, tmp_path):
+        # json keeps the last value of a repeated key: the graph would be read on w
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"vertices": ["v"], "vertices": ["w"], "edges": []}')
+        sig = tmp_path / "sig.json"
+        sig.write_text('{"field_blocks": [{"size": 1, "shifts": [0], "size": 2}]}')
+        for argv, name, key in ((["classify", str(graph)], graph, "vertices"),
+                                (["iso", str(sig), str(sig)], sig, "size")):
+            proc = run_cli(argv)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert f"{name}: repeated key '{key}'" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def test_s_vertex_must_be_regular_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": ["v"], "edges": [], "S": ["v"]}')

@@ -1,11 +1,13 @@
 """Condition-lattice reports, chain witnesses, relative-graph verification."""
 
 import random
+from pathlib import Path as FilePath
 
 import pytest
 
 from clpa.errors import NoCycle, NotAnExit, NotNoExitObject
-from clpa.graphs import Path
+from clpa.gradedmat import GradedMatrix
+from clpa.graphs import Path, load_object
 from clpa.reports import (
     artinian_failure_witness,
     chain_witness,
@@ -27,10 +29,12 @@ from conftest import (
     tree,
 )
 
+GOLDEN_INPUTS = FilePath(__file__).parent / "golden" / "inputs"
+
 
 def _verdicts(rep) -> dict:
-    """Condition code -> verdict, from the report's entries."""
-    return {e.code: e.verdict for e in rep.entries}
+    """Condition code -> verdict, from the report's JSON conditions."""
+    return {c["code"]: c["verdict"] for c in rep.to_json()["conditions"]}
 
 
 class TestReportVerdicts:
@@ -79,7 +83,7 @@ class TestReportVerdicts:
 
     def test_citation_entries_marked(self):
         rep = report(loop())
-        cited = {e.code for e in rep.entries if e.citation_only}
+        cited = {c["code"] for c in rep.to_json()["conditions"] if c["citation_only"]}
         assert cited == {"12", "13", "14"}
 
     def test_field_reaches_witnesses(self):
@@ -173,6 +177,25 @@ class TestArtinianWitness:
     def test_acyclic_has_no_cycle(self):
         obj = fan(2)
         assert obj.graph.cycles == ()
+
+    def test_chain_costs_linear_products(self, monkeypatch):
+        # each c^k image is computed once, so n = 50 more links cost at most
+        # 4 x 50 more target products, not a cubic number
+        calls = [0]
+        mul = GradedMatrix.__mul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(GradedMatrix, "__mul__", counted)
+        obj = load_object(str(GOLDEN_INPUTS / "cycle_with_tail.json"))
+        counts = []
+        for n in (50, 100):
+            calls[0] = 0
+            chain_witness(obj, "artinian", n)
+            counts.append(calls[0])
+        assert counts[1] - counts[0] <= 4 * 50, counts
 
 
 class TestRelgraphVerify:
