@@ -41,6 +41,8 @@ _GRAPH_COMMANDS = {
 _EVAL = {"readme": "2 * e1|e1 + v", "rose_exit": "c1.c2|c1 - x|x", "cycle_tail": "t.a.b|t + x"}
 # coefficients that are not integers, and a sum of them that is
 _RATIONAL_EVAL = {"half_diff": "1/2 * v - v", "half_sum": "1/2 * v + 1/2 * v"}
+# terms out of normal order on F_3 with S = {v}; e1|e1 rewrites to v - e2|e2 - e3|e3
+_UNORDERED_EVAL = "e3|e3 + u2 + e1|e1 + v + u1"
 
 
 def _cli_cases():
@@ -54,6 +56,8 @@ def _cli_cases():
     readme = str(INPUTS / _GRAPHS["readme"])
     for name, text in _RATIONAL_EVAL.items():
         cases.append((f"eval_{name}-readme", ["eval", text, "--graph", readme]))
+    cases.append(("eval_unordered-fan3_leavitt",
+                  ["eval", _UNORDERED_EVAL, "--graph", str(INPUTS / "fan3_leavitt.json")]))
     sub, sig_a, sig_b = (str(INPUTS / f) for f in ("readme_sub.json", "sig_a.json", "sig_b.json"))
     cases.append(("complete_sub-readme", ["complete", str(INPUTS / _GRAPHS["readme"]),
                                           "--sub", sub]))
