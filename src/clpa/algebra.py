@@ -12,9 +12,16 @@ q.edges, s(q)).  Comparing it orders monomials by (length, edges, source)
 of p, then of q, which is the canonical term order; hashing, equality and
 sorting all run on the tuple, and the arithmetic reads its fields by index.
 
-Raw input (``monomial``, ``unit``, parsed expressions) is normalised by
-:meth:`AlgebraContext.from_raw`.  Arithmetic on elements keeps normal form
-by construction instead: a sum of normal combinations is normal; the star
+An element keeps its terms as a dict from normal monomial to nonzero
+coefficient, the storage it shares with :mod:`clpa.gradedmat` through
+:class:`clpa._sparse.SparseElement`; only printing sorts the terms.
+
+Raw input (``monomial``, parsed expressions) is normalised by
+:meth:`AlgebraContext.from_raw`.  The generators are built in normal form
+directly: a vertex, an edge, a ghost edge, a path and the unit are sums of
+distinct monomials p q* with p or q trivial, and a monomial needs both sides
+nonempty to be reducible.  Arithmetic on elements keeps normal form by
+construction: a sum of normal combinations is normal; the star
 of a normal monomial is normal, because reducibility is symmetric in p and
 q; and the product of normal p q* and r s* is normal unless q = r, since
 when one of q, r is a proper prefix of the other the product ends exactly
@@ -37,10 +44,10 @@ All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
+from ._sparse import SparseElement, add_term
 from .errors import ContextMismatch, FieldMismatch, IncompleteMap
 from .graphs import CLObject, Graph, Path
 from .scalars import QQ, Field, Scalar
@@ -84,8 +91,6 @@ class Monomial(tuple):
 
 # builds a Monomial from its six fields, past the Path-taking constructor
 _new = tuple.__new__
-# the sort key of a (monomial, coefficient) term
-_first = itemgetter(0)
 
 
 class AlgebraContext(Record):
@@ -127,49 +132,51 @@ class AlgebraContext(Record):
 
     # -- element constructors ------------------------------------------------
 
-    def validate_path(self, p: Path) -> Path:
-        g = self.graph
-        if p.source not in g.vertices:
-            raise ValueError(f"unknown vertex {p.source!r}")
-        at = p.source
-        for e in p.edges:
-            if not g.has_edge(e) or g.src(e) != at:
-                raise ValueError(f"invalid path {p}: edge {e!r} does not continue it")
-            at = g.rng(e)
-        return p
-
     def monomial(self, p: Path, q: Path, coeff: Optional[Scalar] = None) -> "AlgebraElement":
-        self.validate_path(p)
-        self.validate_path(q)
         g = self.graph
+        for path in (p, q):
+            if path.source not in g.vertices:
+                raise ValueError(f"unknown vertex {path.source!r}")
+            at = path.source
+            for e in path.edges:
+                if not g.has_edge(e) or g.src(e) != at:
+                    raise ValueError(f"invalid path {path}: edge {e!r} does not continue it")
+                at = g.rng(e)
         if g.path_range(p) != g.path_range(q):
             raise ValueError(f"paths {p} and {q} have different ranges")
         c = self.field.one if coeff is None else coeff
         return self.from_raw([(c, Monomial(p, q))])
 
+    # The generators below are sums of distinct monomials p q* with p or q
+    # trivial: normal, since a reducible monomial has both sides nonempty.
+
+    def _one_term(self, p: Path, q: Path) -> "AlgebraElement":
+        return AlgebraElement(self, {Monomial(p, q): self.field.one})
+
     def vertex(self, v: str) -> "AlgebraElement":
-        return self.monomial(Path(v), Path(v))
+        if v not in self.graph.vertices:
+            raise ValueError(f"unknown vertex {v!r}")
+        return self._one_term(Path(v), Path(v))
 
     def edge(self, e: str) -> "AlgebraElement":
         g = self.graph
-        return self.monomial(g.make_path([e]), Path(g.rng(e)))
+        return self._one_term(g.make_path([e]), Path(g.rng(e)))
 
     def ghost(self, e: str) -> "AlgebraElement":
         g = self.graph
-        return self.monomial(Path(g.rng(e)), g.make_path([e]))
+        return self._one_term(Path(g.rng(e)), g.make_path([e]))
 
     def path_element(self, edge_ids: Iterable[str]) -> "AlgebraElement":
         p = self.graph.make_path(edge_ids)
-        return self.monomial(p, Path(self.graph.path_range(p)))
+        return self._one_term(p, Path(self.graph.path_range(p)))
 
     def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, ())
+        return AlgebraElement(self, {})
 
     def unit(self) -> "AlgebraElement":
         """The identity: the sum of all vertices (the graph is finite)."""
-        return self.from_raw(
-            [(self.field.one, Monomial(Path(v), Path(v))) for v in self.graph.vertices]
-        )
+        one = self.field.one
+        return AlgebraElement(self, {Monomial(Path(v), Path(v)): one for v in self.graph.vertices})
 
     def from_raw(self, terms: Iterable[tuple]) -> "AlgebraElement":
         """Normal form of a raw combination of (coefficient, monomial) pairs."""
@@ -179,7 +186,7 @@ class AlgebraContext(Record):
         if foreign:
             raise FieldMismatch(f"coefficient {foreign[0]!r} is not in {self.field!r}")
         self._rewrite_into(out, [(m, c) for c, m in terms if c])
-        return _element(self, out)
+        return AlgebraElement(self, out)
 
     def _rewrite_into(self, out: dict, stack: list) -> None:
         """Add the normal form of the (monomial, nonzero coefficient) pairs to ``out``."""
@@ -187,7 +194,7 @@ class AlgebraContext(Record):
             m, c = stack.pop()
             v = self._reducible_at(m)
             if v is None:
-                _add_term(out, m, c)
+                add_term(out, m, c)
                 continue
             lp, p, ps, lq, q, qs = m
             p1, q1 = p[:-1], q[:-1]
@@ -210,69 +217,25 @@ class AlgebraContext(Record):
         return None
 
 
-def _add_term(out: dict, m: Monomial, c: Scalar) -> None:
-    """Add c·m to the combination ``out``, dropping the term if it cancels."""
-    prev = out.get(m)
-    if prev is None:
-        out[m] = c
-    else:
-        acc = prev + c
-        if acc:
-            out[m] = acc
-        else:
-            del out[m]
-
-
-def _element(ctx: AlgebraContext, out: dict) -> "AlgebraElement":
-    """The element of a dict of normal monomials with nonzero coefficients."""
-    if len(out) < 2:
-        return AlgebraElement(ctx, tuple(out.items()))
-    return AlgebraElement(ctx, tuple(sorted(out.items(), key=_first)))
-
-
-class AlgebraElement(Record):
-    """An element in canonical normal form: sorted (monomial, coefficient) terms."""
+class AlgebraElement(SparseElement, Record):
+    """An element in normal form: ``terms`` maps normal monomials to nonzero
+    coefficients.  The dict is unordered; printing sorts it by monomial.
+    Sums, scaling, equality, hashing and the operand check are
+    :class:`SparseElement`'s."""
 
     __slots__ = ("ctx", "terms")
     ctx: AlgebraContext
-    terms: tuple
+    terms: dict
 
-    def __init__(self, ctx: AlgebraContext, terms: tuple):
+    def __init__(self, ctx: AlgebraContext, terms: dict):
         _set_elem_ctx(self, ctx)
         _set_elem_terms(self, terms)
 
-    def __eq__(self, other):
-        if other.__class__ is not AlgebraElement:
-            return NotImplemented
-        return self.terms == other.terms and self.ctx == other.ctx
+    _field = property(lambda self: self.ctx.field)
+    _mismatch = ContextMismatch, "elements live in different algebra contexts"
 
-    def __hash__(self):
-        return hash((self.ctx, self.terms))
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if other.__class__ is AlgebraElement and other.ctx is self.ctx:
-            return
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"expected AlgebraElement, got {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise ContextMismatch("elements live in different algebra contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            _add_term(out, m, c)
-        return _element(self.ctx, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            _add_term(out, m, -c)
-        return _element(self.ctx, out)
-
-    def __neg__(self):
-        return AlgebraElement(self.ctx, tuple((m, -c) for m, c in self.terms))
+    def _like(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.ctx, terms)
 
     def __mul__(self, other):
         # (p q*)(r s*) is p t s* if r = q t, p (s t)* if q = r t, and 0 otherwise.
@@ -281,9 +244,9 @@ class AlgebraElement(Record):
         self._check(other)
         out: dict = {}
         critical = []
-        for m1, c1 in self.terms:
+        for m1, c1 in self.terms.items():
             lp, p, ps, lq, q, qs = m1
-            for m2, c2 in other.terms:
+            for m2, c2 in other.terms.items():
                 if m2[2] != qs:
                     continue
                 lr, r = m2[0], m2[1]
@@ -299,25 +262,17 @@ class AlgebraElement(Record):
                     if q == r:
                         critical.append((_new(Monomial, (lp, p, ps, m2[3], m2[4], m2[5])), c1 * c2))
                     continue
-                _add_term(out, prod, c1 * c2)
+                add_term(out, prod, c1 * c2)
         if critical:
             self.ctx._rewrite_into(out, critical)
-        return _element(self.ctx, out)
-
-    def scale(self, a: Scalar) -> "AlgebraElement":
-        if not self.ctx.field.contains(a):
-            raise ContextMismatch(f"scalar {a!r} is not in {self.ctx.field!r}")
-        if not a:
-            return self.ctx.zero_element()
-        return AlgebraElement(self.ctx, tuple((m, a * c) for m, c in self.terms))
+        return AlgebraElement(self.ctx, out)
 
     def star(self) -> "AlgebraElement":
         """The involution: termwise swap of p and q (the field involution is the identity).
 
-        Swapping keeps each monomial normal and distinct, so only the order changes.
+        Swapping keeps each monomial normal and distinct.
         """
-        return AlgebraElement(self.ctx, tuple(sorted(
-            [(m.star(), c) for m, c in self.terms], key=_first)))
+        return AlgebraElement(self.ctx, {m.star(): c for m, c in self.terms.items()})
 
     def support(self) -> tuple:
         """(left, right): the sources of the p and of the q over the terms p q*.
@@ -326,33 +281,25 @@ class AlgebraElement(Record):
         support of x and the left support of y are disjoint.
         """
         terms = self.terms
-        return {m[2] for m, _ in terms}, {m[5] for m, _ in terms}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def zero(self) -> "AlgebraElement":
-        return self.ctx.zero_element()
+        return {m[2] for m in terms}, {m[5] for m in terms}
 
     def degree_components(self) -> dict:
         out: dict = {}
-        for m, c in self.terms:
-            out.setdefault(m[0] - m[3], []).append((m, c))
-        return {
-            d: AlgebraElement(self.ctx, tuple(parts)) for d, parts in sorted(out.items())
-        }
+        for m, c in self.terms.items():
+            out.setdefault(m[0] - m[3], {})[m] = c
+        return {d: AlgebraElement(self.ctx, part) for d, part in sorted(out.items())}
 
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
         one = self.ctx.field.one
-        for m, c in self.terms:
-            parts.append(str(m) if c == one else f"{c} * {m}")
-        return " + ".join(parts)
+        return " + ".join(str(m) if c == one else f"{c} * {m}"
+                          for m, c in sorted(self.terms.items()))
 
 
 _set_elem_ctx, _set_elem_terms = AlgebraElement.ctx.__set__, AlgebraElement.terms.__set__
+# the ctx slot, under the name SparseElement reads
+AlgebraElement._parent = AlgebraElement.ctx
 
 
 def is_idempotent(x: AlgebraElement) -> bool:
@@ -411,7 +358,7 @@ def evaluate_element(x: AlgebraElement, images: Mapping, memo: Optional[dict] = 
     table when none is given, and the terms are added pairwise.
     """
     memo = {} if memo is None else memo
-    parts = [evaluate_monomial(m, images, memo).scale(c) for m, c in x.terms]
+    parts = [evaluate_monomial(m, images, memo).scale(c) for m, c in x.terms.items()]
     if not parts:
         return next(iter(images.values())).zero()
     while len(parts) > 1:
@@ -548,12 +495,14 @@ def relative_generator_images(
     ctx = AlgebraContext(obj, field)
     g = obj.graph
     unprimed = sorted(rel.primed_vertex)
+    one = field.one
     images: dict = {}
 
     def expansion(v: str, head: tuple = ()) -> AlgebraElement:
-        # the sum of (head f) f* over the edges f of v, each term normal as v is not in S
-        return ctx.from_raw([(ctx.field.one, Monomial(g.make_path(head + (f,)), g.make_path([f])))
-                             for f in g.out_edges(v)])
+        # the sum of (head f) f* over the edges f of v: distinct, and normal as
+        # v is not in S, so has no special edge
+        return AlgebraElement(ctx, {Monomial(g.make_path(head + (f,)), g.make_path([f])): one
+                                    for f in g.out_edges(v)})
 
     for v in sorted(g.vertices):
         images[v] = expansion(v) if v in unprimed else ctx.vertex(v)

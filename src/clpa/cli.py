@@ -178,7 +178,8 @@ def cmd_eval(args):
     result = parse_expression(args.expression, ctx)
     payload = {
         "normal_form": str(result),
-        "terms": [{"monomial": str(m), "coefficient": str(c)} for m, c in result.terms],
+        "terms": [{"monomial": str(m), "coefficient": str(c)}
+                  for m, c in sorted(result.terms.items())],
     }
     return payload, [payload["normal_form"]]
 

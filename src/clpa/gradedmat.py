@@ -25,9 +25,10 @@ from typing import Optional
 
 from ._linalg import inverse
 from ._record import Record
+from ._sparse import SparseElement
 from .errors import (AlgebraMismatch, ClassificationBug, FieldMismatch, GraphFormatError,
                      OracleScaleExceeded)
-from .scalars import QQ, Field, LaurentPoly, PrimeField, Scalar
+from .scalars import QQ, Field, LaurentPoly, PrimeField
 
 
 class GradedMatrixAlgebra(Record):
@@ -112,16 +113,14 @@ def component_dim(algebra: GradedMatrixAlgebra, delta: int) -> int:
     return sum(1 for x in g for y in g if (delta - x + y) % n == 0)
 
 
-def _nonzero(terms: dict) -> dict:
-    return {u: a for u, a in terms.items() if a}
-
-
-class GradedMatrix:
+class GradedMatrix(SparseElement):
     """A finite sum of matrix units of a :class:`DirectSum`: ``terms`` maps
     (block, i, j, k) to the nonzero coefficient of e_ij t^k in that summand
     (k = 0 in field blocks).  The constructor refuses a coefficient outside
     the base field and a key that :meth:`DirectSum.unit` refuses, and drops
-    zero coefficients; arithmetic builds its results through ``_matrix``."""
+    zero coefficients; arithmetic builds its results through ``_matrix``.
+    Sums, scaling, equality, hashing and the operand check are
+    :class:`SparseElement`'s."""
 
     __slots__ = ("algebra", "terms")
 
@@ -133,21 +132,13 @@ class GradedMatrix:
         for u in terms:
             algebra._check_unit(*u)
         self.algebra = algebra
-        self.terms = _nonzero(terms)
+        self.terms = {u: a for u, a in terms.items() if a}
 
-    def _check(self, other: "GradedMatrix") -> None:
-        if not isinstance(other, GradedMatrix):
-            raise TypeError(f"expected GradedMatrix, got {type(other).__name__}")
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise AlgebraMismatch("matrices live in different graded algebras")
+    _field = property(lambda self: self.algebra.base)
+    _mismatch = AlgebraMismatch, "matrices live in different graded algebras"
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
+    def _like(self, terms: dict) -> "GradedMatrix":
+        return _matrix(self.algebra, terms)
 
     def entry(self, i: int, j: int, block: int = 0):
         """The (i, j) entry of a summand: a scalar, or a LaurentPoly in Laurent blocks."""
@@ -157,22 +148,6 @@ class GradedMatrix:
         return LaurentPoly(alg.period, tuple(
             (k, a) for (b, r, c, k), a in self.terms.items() if (b, r, c) == (block, i, j)),
             alg.base)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for u, b in other.terms.items():
-            a = out.get(u)
-            out[u] = b if a is None else a + b
-        return _matrix(self.algebra, _nonzero(out))
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for u, b in other.terms.items():
-            a = out.get(u)
-            out[u] = -b if a is None else a - b
-        return _matrix(self.algebra, _nonzero(out))
 
     def __mul__(self, other):
         self._check(other)
@@ -185,12 +160,7 @@ class GradedMatrix:
                 u = (blk, i, l, k1 + k2)
                 c = out.get(u)
                 out[u] = a * b if c is None else c + a * b
-        return _matrix(self.algebra, _nonzero(out))
-
-    def scale(self, a: Scalar) -> "GradedMatrix":
-        if not self.algebra.base.contains(a):
-            raise FieldMismatch(f"scalar {a!r} is not in {self.algebra.base!r}")
-        return _matrix(self.algebra, _nonzero({u: a * c for u, c in self.terms.items()}))
+        return _matrix(self.algebra, {u: a for u, a in out.items() if a})
 
     def star(self) -> "GradedMatrix":
         """The *-transpose: transpose, with t^k -> t^-k (the field involution is the identity)."""
@@ -207,12 +177,6 @@ class GradedMatrix:
         terms = self.terms
         return {(b, i) for b, i, _, _ in terms}, {(b, j) for b, _, j, _ in terms}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def zero(self) -> "GradedMatrix":
-        return _matrix(self.algebra, {})
-
     def degree_components(self) -> dict:
         summands = self.algebra.summands
         out: dict = {}
@@ -226,6 +190,10 @@ class GradedMatrix:
             "[" + "; ".join(", ".join(str(self.entry(i, j, b)) for j in range(alg.size))
                             for i in range(alg.size)) + "]"
             for b, alg in enumerate(self.algebra.summands))
+
+
+# the algebra slot, under the name SparseElement reads
+GradedMatrix._parent = GradedMatrix.algebra
 
 
 def _matrix(algebra: DirectSum, terms: dict) -> GradedMatrix:

@@ -58,7 +58,7 @@ def all_paths(graph: Graph, max_length: Optional[int] = None) -> list:
 
 def is_normal(ctx: AlgebraContext, m: Monomial) -> bool:
     """The monomial is in normal form: rewriting leaves it unchanged."""
-    return ctx.from_raw([(ctx.field.one, m)]).terms == ((m, ctx.field.one),)
+    return ctx.from_raw([(ctx.field.one, m)]).terms == {m: ctx.field.one}
 
 
 def normal_monomials(ctx: AlgebraContext, max_each: Optional[int] = None) -> list:

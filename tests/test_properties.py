@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clpa._linalg import inverse, nullspace_basis
-from clpa.algebra import AlgebraContext, Monomial, evaluate_element
+from clpa.algebra import AlgebraContext, Monomial, evaluate_element, relative_generator_images
 from clpa.classify import classify, no_exit_violations
 from clpa.graphs import (
     CLObject,
@@ -21,7 +21,7 @@ from clpa.graphs import (
 from clpa.monoid import exit_cycle_chain
 from clpa.scalars import QQ, PrimeField
 
-from conftest import random_element, random_object
+from conftest import random_element, random_object, random_path
 from oracles import all_cycles, is_normal
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
@@ -128,8 +128,8 @@ def test_element_operations_equal_normal_form_of_raw_combination(obj, field, see
     rng = random.Random(seed)
     x = random_element(ctx, rng, max_terms=6)
     y = random_element(ctx, rng, max_terms=6)
-    raw_x = [(c, m) for m, c in x.terms]
-    raw_y = [(c, m) for m, c in y.terms]
+    raw_x = [(c, m) for m, c in x.terms.items()]
+    raw_y = [(c, m) for m, c in y.terms.items()]
     products = [(c1 * c2, _raw_product(m1, m2)) for c1, m1 in raw_x for c2, m2 in raw_y]
     cases = [
         (x + y, raw_x + raw_y),
@@ -139,7 +139,7 @@ def test_element_operations_equal_normal_form_of_raw_combination(obj, field, see
     ]
     for got, raw in cases:
         assert got == ctx.from_raw(raw)
-        assert all(is_normal(ctx, m) for m, _ in got.terms)
+        assert all(is_normal(ctx, m) for m in got.terms)
 
 
 def _random_special(obj: CLObject, rng: random.Random) -> tuple:
@@ -171,6 +171,36 @@ def test_change_of_special_edges_is_a_star_isomorphism(field, seed):
     assert evaluate_element(x * y, to_b) == fx * fy
     assert evaluate_element(x.star(), to_b) == fx.star()
     assert evaluate_element(fx, to_a) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FIELDS), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       choose=st.booleans())
+def test_generator_constructors_equal_normal_form_of_their_monomials(field, seed, choose):
+    # the constructors build their terms without rewriting: whatever the
+    # special edges, no generator monomial may be reducible
+    rng = random.Random(seed)
+    obj = random_object(rng)
+    ctx = AlgebraContext(obj, field, _random_special(obj, rng) if choose else ())
+    g = ctx.graph
+
+    def raw(*pairs):
+        return ctx.from_raw([(field.one, Monomial(p, q)) for p, q in pairs])
+
+    trivial = {v: Path(v) for v in g.vertices}
+    for v in g.vertices:
+        assert ctx.vertex(v) == raw((trivial[v], trivial[v]))
+    assert ctx.unit() == raw(*((p, p) for p in trivial.values()))
+    for e in g.edge_ids():
+        p, r = g.make_path([e]), trivial[g.rng(e)]
+        assert ctx.edge(e) == raw((p, r))
+        assert ctx.ghost(e) == raw((r, p))
+    path = random_path(ctx, rng)
+    if path.edges:
+        assert ctx.path_element(path.edges) == raw((path, trivial[g.path_range(path)]))
+    _, rctx, images = relative_generator_images(obj, field)
+    for x in images.values():
+        assert x == rctx.from_raw([(c, m) for m, c in x.terms.items()])
 
 
 @st.composite
