@@ -111,8 +111,7 @@ class AlgebraContext(Record):
         for v, e in self.special:
             if v not in s_set:
                 raise ValueError(f"special edge given at {v!r}, which is not in S")
-            if e not in g.out_edges(v):
-                raise ValueError(f"{v!r} does not emit the special edge {e!r}")
+            g.make_path((e,), v)  # v emits e
             if v in chosen:
                 raise ValueError(f"special edge given twice at {v!r}")
             chosen[v] = e
@@ -135,13 +134,7 @@ class AlgebraContext(Record):
     def monomial(self, p: Path, q: Path, coeff: Optional[Scalar] = None) -> "AlgebraElement":
         g = self.graph
         for path in (p, q):
-            if path.source not in g.vertices:
-                raise ValueError(f"unknown vertex {path.source!r}")
-            at = path.source
-            for e in path.edges:
-                if not g.has_edge(e) or g.src(e) != at:
-                    raise ValueError(f"invalid path {path}: edge {e!r} does not continue it")
-                at = g.rng(e)
+            g.make_path(path.edges, path.source)
         if g.path_range(p) != g.path_range(q):
             raise ValueError(f"paths {p} and {q} have different ranges")
         c = self.field.one if coeff is None else coeff
@@ -154,24 +147,18 @@ class AlgebraContext(Record):
         return AlgebraElement(self, {Monomial(p, q): self.field.one})
 
     def vertex(self, v: str) -> "AlgebraElement":
-        if v not in self.graph.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-        return self._one_term(Path(v), Path(v))
+        p = self.graph.make_path((), v)
+        return self._one_term(p, p)
 
     def edge(self, e: str) -> "AlgebraElement":
-        g = self.graph
-        return self._one_term(g.make_path([e]), Path(g.rng(e)))
+        return self.path_element([e])
 
     def ghost(self, e: str) -> "AlgebraElement":
-        g = self.graph
-        return self._one_term(Path(g.rng(e)), g.make_path([e]))
+        return self.path_element([e]).star()
 
     def path_element(self, edge_ids: Iterable[str]) -> "AlgebraElement":
         p = self.graph.make_path(edge_ids)
         return self._one_term(p, Path(self.graph.path_range(p)))
-
-    def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
 
     def unit(self) -> "AlgebraElement":
         """The identity: the sum of all vertices (the graph is finite)."""

@@ -61,7 +61,12 @@ class NoCycle(ClpaError):
 
 
 class GraphFormatError(ClpaError, ValueError):
-    """Graph/signature input failed validation (bad ids, unknown vertices, ...)."""
+    """Graph/signature input failed validation (bad ids, unknown vertices, ...);
+    ``index`` places a fault in an edge sequence (see ``Graph.make_path``)."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ParseError(ClpaError, ValueError):

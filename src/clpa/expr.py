@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraContext, AlgebraElement, Monomial
-from .errors import ParseError
+from .errors import GraphFormatError, ParseError
 from .graphs import Path
 
 _ID = re.compile(r"[^\s+\-*/|.~]+")
@@ -38,14 +38,10 @@ def _path(text: str, m: re.Match, group: str, ctx: AlgebraContext) -> Path:
     ids = list(_ID.finditer(text, m.start(group), m.end(group)))
     if len(ids) == 1 and ids[0][0] in g.vertices:
         return Path(ids[0][0])
-    kind = "vertex or edge" if len(ids) == 1 else "edge"
-    for t in ids:
-        if not g.has_edge(t[0]):
-            raise ParseError(f"unknown {kind} id {t[0]!r}", t.start())
-    for a, b in zip(ids, ids[1:]):
-        if g.rng(a[0]) != g.src(b[0]):
-            raise ParseError(f"edges {a[0]!r} and {b[0]!r} do not compose", b.start())
-    return Path(g.src(ids[0][0]), tuple(t[0] for t in ids))
+    try:
+        return g.make_path(t[0] for t in ids)
+    except GraphFormatError as err:
+        raise ParseError(str(err), ids[err.index].start()) from err
 
 
 def _term(text: str, m: re.Match, ctx: AlgebraContext) -> tuple:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ._record import Record
 from .errors import GraphFormatError, NonFiniteEnumeration, NotASubgraph
@@ -77,9 +78,6 @@ class Graph(Record):
     def rng(self, eid: str) -> str:
         return self._by_id[eid][2]
 
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._by_id
-
     def out_edges(self, v: str) -> tuple:
         """Edge ids emitted by v, sorted."""
         return self._out[v]
@@ -119,17 +117,26 @@ class Graph(Record):
         """The vertex sequence s(e1), ..., s(ek), r(p) (just the source if trivial)."""
         return (p.source,) + tuple(self.rng(e) for e in p.edges)
 
-    def make_path(self, edge_ids: Iterable[str]) -> "Path":
+    def make_path(self, edge_ids: Iterable[str], source: Optional[str] = None) -> "Path":
+        """The path along ``edge_ids`` (from ``source``, if given), checked: the
+        one check of ids and edge sequences against the graph.  The first fault,
+        in the order unknown source, unknown edge id, first edge not from the
+        source, two edges that do not compose, raises GraphFormatError naming
+        its id, with the id's index in ``edge_ids`` (None for the source)."""
         ids = tuple(edge_ids)
-        if not ids:
-            raise ValueError("make_path needs at least one edge; use Path(v) for trivial paths")
-        for e in ids:
-            if not self.has_edge(e):
-                raise ValueError(f"unknown edge id {e!r}")
-        for a, b in zip(ids, ids[1:]):
-            if self.rng(a) != self.src(b):
-                raise ValueError(f"edges {a!r},{b!r} do not compose")
-        return Path(self.src(ids[0]), ids)
+        if source is None and not ids:
+            raise ValueError("make_path needs a source or at least one edge")
+        if source is not None and source not in self.vertices:
+            raise GraphFormatError(f"unknown vertex {source!r}")
+        for i, e in enumerate(ids):
+            if e not in self._by_id:
+                raise GraphFormatError(f"unknown edge id {e!r}", i)
+        if source is not None and ids and self.src(ids[0]) != source:
+            raise GraphFormatError(f"edge {ids[0]!r} does not start at {source!r}", 0)
+        for i in range(1, len(ids)):
+            if self.rng(ids[i - 1]) != self.src(ids[i]):
+                raise GraphFormatError(f"edges {ids[i - 1]!r} and {ids[i]!r} do not compose", i)
+        return Path(self.src(ids[0]) if ids else source, ids)
 
 
 class Path(Record):
@@ -512,17 +519,20 @@ def object_from_json(data) -> CLObject:
         if len(e) != 3:
             raise GraphFormatError(f"edge record {e!r} has unknown keys "
                                    f"{sorted(set(e) - {'id', 'src', 'rng'})}")
-    return CLObject(Graph(vertices, edges), s_set)
+    obj = CLObject(Graph(vertices, edges), s_set)
+    for kind, ids in (("vertex id", vertices), ("S entry", s_set)):
+        repeated = [x for x, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise GraphFormatError(f"repeated {kind} {repeated[0]!r}")
+    return obj
 
 
 def _unique_keys(pairs: list) -> dict:
     """A decoded JSON object; a repeated key raises ValueError naming it."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
-    return out
+    repeated = [k for k, n in Counter(k for k, _ in pairs).items() if n > 1]
+    if repeated:
+        raise ValueError(f"repeated key {repeated[0]!r}")
+    return dict(pairs)
 
 
 def read_json(path: str):

@@ -14,8 +14,10 @@ from clpa.algebra import (
     is_idempotent,
     path_image,
 )
-from clpa.errors import ContextMismatch, FieldMismatch, IncompleteMap, NonFiniteEnumeration
-from clpa.graphs import Graph, Path
+from clpa.errors import (
+    ContextMismatch, FieldMismatch, GraphFormatError, IncompleteMap, NonFiniteEnumeration,
+)
+from clpa.graphs import CLObject, Graph, Path
 from clpa.scalars import QQ, LaurentPoly, PFElement, PrimeField
 
 from conftest import chain, fan, loop, random_element, rose, tree
@@ -109,9 +111,24 @@ class TestMonomialInputChecks:
 
     def test_edge_that_does_not_continue_the_path(self):
         bad = Path("v", ("e1", "e2"))
-        with pytest.raises(ValueError,
-                           match=r"invalid path e1\.e2: edge 'e2' does not continue it"):
+        with pytest.raises(GraphFormatError, match="^edges 'e1' and 'e2' do not compose$") as err:
             ctx_of(fan(2)).monomial(bad, bad)
+        assert err.value.index == 1
+
+    def test_first_edge_must_start_at_the_source(self):
+        bad = Path("u1", ("e1",))
+        with pytest.raises(GraphFormatError, match="^edge 'e1' does not start at 'u1'$") as err:
+            ctx_of(fan(2)).monomial(Path("u1"), bad)
+        assert err.value.index == 0
+
+    @pytest.mark.parametrize("special, message", [
+        (("v", "zz"), "unknown edge id 'zz'"),
+        (("w", "c"), "edge 'c' does not start at 'w'"),
+    ])
+    def test_special_edge_checked_as_a_path(self, special, message):
+        obj = CLObject(Graph(["v", "w"], [("c", "v", "v"), ("x", "w", "v")]), ["v", "w"])
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            AlgebraContext(obj, QQ, (special,))
 
     def test_paths_with_different_ranges(self):
         with pytest.raises(ValueError, match="paths e1 and e2 have different ranges"):
@@ -227,7 +244,7 @@ class TestHomogeneousComponents:
         comps = x.degree_components()
         assert set(comps) == {0, 1}
         assert comps[0] == ctx.vertex("u") and comps[1] == ctx.edge("g")
-        assert sum(comps.values(), ctx.zero_element()) == x
+        assert sum(comps.values(), ctx.from_raw([])) == x
 
     def test_gf2_coefficients(self):
         ctx = ctx_of(fan(2, s_on=True), PrimeField(2))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from clpa import reports
 from clpa.algebra import AlgebraContext, Monomial
 from clpa.cli import main
-from clpa.errors import ParseError
+from clpa.errors import GraphFormatError, ParseError
 from clpa.expr import parse_expression
 from clpa.graphs import Path, object_to_json
 from clpa.monoid import atomic_cancellative_verdict
@@ -67,7 +67,7 @@ class TestExpressions:
             parse_expression("e1 | e2", fan_ctx)
 
     def test_unknown_id_reports_position(self, fan_ctx):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=r"^unknown edge id 'ghost' \(at position 4\)$") as err:
             parse_expression("v + ghost", fan_ctx)
         assert err.value.position == 4
 
@@ -77,8 +77,8 @@ class TestExpressions:
         assert err.value.position == 2
 
     def test_malformed_path(self, fan_ctx):
-        with pytest.raises(ParseError):
-            parse_expression("e1.e2", fan_ctx)  # edges do not compose
+        with pytest.raises(ParseError, match=r"^edges 'e1' and 'e2' do not compose \(at position 3\)$"):
+            parse_expression("e1.e2", fan_ctx)
 
     def test_zero_expressible(self, fan_ctx):
         assert parse_expression("v - v", fan_ctx).is_zero()
@@ -153,6 +153,60 @@ def test_random_text_parses_or_names_a_nonblank_position(text):
         assert 0 <= err.position <= len(text)
         if not str(err).startswith("empty expression"):
             assert err.position == len(text) or not text[err.position].isspace(), str(err)
+
+
+_SEPARATOR = st.sampled_from([".", ".", " . ", ".\t", "  ."])
+
+
+@st.composite
+def _id_sequence(draw):
+    """A random multigraph's context, a nonempty sequence of its vertex and edge
+    ids and one unknown id, that sequence as a PATH and the position of each id."""
+    ctx = AlgebraContext(random_object(draw(st.randoms(use_true_random=False))))
+    pool = sorted(ctx.graph.edge_ids()) + sorted(ctx.graph.vertices) + ["zz"]
+    ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    text, starts = "", []
+    for k, t in enumerate(ids):
+        text += draw(_SEPARATOR) if k else ""
+        starts.append(len(text))
+        text += t
+    return ctx, ids, text, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_id_sequence())
+def test_make_path_parser_and_monomial_check_paths_alike(case):
+    # one checker: all three accept the same sequences and name the same first
+    # failing id, the parser at that id's position
+    ctx, ids, text, starts = case
+    g = ctx.graph
+    lone = len(ids) == 1 and ids[0] in g.vertices  # the grammar's trivial path
+    edges = () if lone else tuple(ids)
+    # the first failing id, found without make_path: the first unknown one,
+    # else the first that does not compose with the one before it
+    unknown = [k for k, t in enumerate(edges) if t not in g.edge_ids()]
+    first = unknown[0] if unknown else next(
+        (k for k in range(1, len(edges)) if g.rng(edges[k - 1]) != g.src(edges[k])), None)
+    try:
+        path, fault = g.make_path(edges, ids[0] if lone else None), None
+    except GraphFormatError as err:
+        path, fault = None, (str(err), err.index)
+        assert repr(ids[err.index]) in str(err)
+    assert first == (None if fault is None else fault[1])
+    try:
+        got = parse_expression(text, ctx)
+    except ParseError as err:
+        assert fault is not None and str(err) == f"{fault[0]} (at position {starts[fault[1]]})"
+    else:
+        assert fault is None and got == ctx.monomial(path, Path(g.path_range(path)))
+    source = ids[0] if lone else g.src(ids[0]) if ids[0] in g.edge_ids() else min(g.vertices)
+    p = Path(source, edges)
+    try:
+        ctx.monomial(p, p)
+    except GraphFormatError as err:
+        assert (str(err), err.index) == fault
+    else:
+        assert fault is None and p == path
 
 
 _N = 10**5
@@ -475,6 +529,22 @@ class TestCli:
             assert f"{name}: repeated key '{key}'" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("data, message", [
+        ({"vertices": ["v", "v"], "edges": [], "S": []}, "repeated vertex id 'v'"),
+        ({"vertices": ["v"], "edges": [{"id": "c", "src": "v", "rng": "v"}], "S": ["v", "v"]},
+         "repeated S entry 'v'"),
+    ])
+    def test_repeated_vertex_or_s_entry_is_exit_2(self, tmp_path, data, message):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(data))
+        code, out, err = _run_in_process(["classify", str(graph)])
+        assert (code, out) == (2, "") and message in err
+
+    def test_expression_with_a_leading_minus_after_double_dash(self):
+        # argparse reads a leading '-' as an option; '--' ends the options
+        toeplitz = os.path.join(os.path.dirname(__file__), "golden", "inputs", "toeplitz.json")
+        assert _run_in_process(["eval", "--graph", toeplitz, "--", "-c|c"]) == (0, "-1 * c|c\n", "")
+
     def test_s_vertex_must_be_regular_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": ["v"], "edges": [], "S": ["v"]}')
@@ -631,6 +701,8 @@ _DEEP = "[" * 200_000 + "]" * 200_000
 @example(case=(["classify", "@a"], _DEEP, "{}"))
 @example(case=(["iso", "@a", "@a"], _DEEP, "{}"))
 @example(case=(["complete", "@a", "--sub", "@b"], json.dumps(_GRAPH), _DEEP))
+@example(case=(["classify", "@a"], json.dumps({**_GRAPH, "vertices": ["v", "w", "v"]}), "{}"))
+@example(case=(["analyze", "@a"], json.dumps({**_GRAPH, "S": ["v", "v"]}), "{}"))
 @settings(max_examples=300, deadline=None)
 @given(case=_invocation())
 def test_cli_fuzz_exits_0_2_or_3(case):

@@ -58,8 +58,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("ids", [["zz"], ["c", "zz"]])
     def test_make_path_names_an_unknown_edge(self, ids):
-        with pytest.raises(ValueError, match="unknown edge id 'zz'"):
+        with pytest.raises(ValueError, match="unknown edge id 'zz'") as err:
             loop().graph.make_path(ids)
+        assert err.value.index == len(ids) - 1
 
     def test_one_id_as_vertex_and_edge_rejected(self):
         with pytest.raises(GraphFormatError,
@@ -67,12 +68,31 @@ class TestValidation:
             Graph(["v"], [("v", "v", "v")])
 
     def test_make_path_needs_an_edge(self):
-        with pytest.raises(ValueError, match=r"make_path needs at least one edge; use Path\(v\)"):
+        with pytest.raises(ValueError, match="make_path needs a source or at least one edge"):
             loop().graph.make_path([])
 
     def test_make_path_edges_must_compose(self):
-        with pytest.raises(ValueError, match="edges 'e1','e2' do not compose"):
+        with pytest.raises(GraphFormatError, match="^edges 'e1' and 'e2' do not compose$") as err:
             fan(2).graph.make_path(["e1", "e2"])
+        assert err.value.index == 1
+
+    def test_make_path_from_a_source(self):
+        g = loop().graph
+        assert g.make_path([], "v") == Path("v")
+        assert g.make_path(["c", "c"], "v") == g.make_path(["c", "c"]) == Path("v", ("c", "c"))
+
+    @pytest.mark.parametrize("edges, source, message, index", [
+        (["e1"], "w", "unknown vertex 'w'", None),
+        ([], "w", "unknown vertex 'w'", None),
+        (["e1"], "u1", "edge 'e1' does not start at 'u1'", 0),
+        # every id is looked up before any two are composed
+        (["e1", "e2", "zz"], None, "unknown edge id 'zz'", 2),
+        (["e1", "zz"], "u1", "unknown edge id 'zz'", 1),
+    ])
+    def test_make_path_names_the_failing_id(self, edges, source, message, index):
+        with pytest.raises(GraphFormatError, match=f"^{message}$") as err:
+            fan(2).graph.make_path(edges, source)
+        assert err.value.index == index
 
     def test_s_must_be_regular(self):
         with pytest.raises(GraphFormatError):
@@ -89,6 +109,7 @@ class TestValidation:
         {"edges": [{"id": "e", "src": "v", "rng": ["w"]}]},
         {"s": ["v"]},
         {"edges": [{"id": "e", "src": "v", "rng": "w", "range": "w"}]},
+        {"vertices": ["v", "w", "v"]}, {"S": ["v", "v"]},
     ])
     def test_malformed_json_fields_rejected(self, change):
         data = {"vertices": ["v", "w"], "edges": [{"id": "e", "src": "v", "rng": "w"}],
