@@ -24,7 +24,8 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import lcm
 from operator import ge
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ._linalg import nullspace_basis
 from ._record import Record
@@ -36,37 +37,42 @@ from .scalars import QQ, Field
 
 
 class MonoidElement(Record):
-    """A finite multiset over the generator set, as sorted (gen, mult) pairs."""
+    """A finite multiset over the generator set, as sorted (gen, mult) pairs.
+
+    The multiplicities of a repeated generator add up; each must be an int
+    (not a bool) and nonnegative.
+    """
 
     counts: tuple
 
     def __post_init__(self):
-        cleaned = tuple(sorted((g, int(m)) for g, m in dict(self.counts).items() if m))
-        if any(m < 0 for _, m in cleaned):
-            raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "counts", cleaned)
+        out: dict = {}
+        for g, m in self.counts:
+            if type(m) is not int:
+                raise ValueError(f"multiplicity of {g!r} must be an int, not {m!r}")
+            if m < 0:
+                raise ValueError("multiplicities must be nonnegative")
+            out[g] = out.get(g, 0) + m
+        object.__setattr__(self, "counts", tuple(sorted((g, m) for g, m in out.items() if m)))
 
     @classmethod
     def of(cls, *generators: str) -> "MonoidElement":
-        out: dict = {}
-        for g in generators:
-            out[g] = out.get(g, 0) + 1
-        return cls(tuple(out.items()))
+        return cls(tuple((g, 1) for g in generators))
 
     def __add__(self, other: "MonoidElement") -> "MonoidElement":
-        out = dict(self.counts)
-        for g, m in other.counts:
-            out[g] = out.get(g, 0) + m
-        return MonoidElement(tuple(out.items()))
+        return MonoidElement(self.counts + other.counts)
 
     def __str__(self):
         return " + ".join(g if m == 1 else f"{m}{g}" for g, m in self.counts) or "0"
 
 
 class Presentation(Record):
-    """Generators and relations of the projective-class monoid of an object."""
+    """Generators and relations of the projective-class monoid of an object.
 
-    obj: CLObject
+    Built once per object by :func:`presentation`, so every reader shares its
+    functionals, invariant and completion.
+    """
+
     rel: RelativeGraph
     generators: tuple
     relations: tuple        # (vertex, MonoidElement rhs) per regular relative vertex
@@ -96,51 +102,62 @@ class Presentation(Record):
         return MonoidElement(tuple(zip(self.generators, _reduce(self.rewriting, self._exponents(x), {}))))
 
     @cached_property
-    def functionals(self) -> list:
+    def functionals(self) -> tuple:
         """A basis of additive functionals constant on every relation, in ints.
 
         Each rational basis vector is scaled by the lcm of its denominators.
+        Tuples, since every ``equal`` on the object reads them.
         """
         rows = [[p - q for p, q in zip(*pair)] for pair in self._relation_vectors()]
         basis = nullspace_basis(rows, len(self.generators), QQ)
         scales = [lcm(*(x.denominator for x in vec)) for vec in basis]
-        return [[int(x * d) for x in vec] for vec, d in zip(basis, scales)]
+        return tuple(tuple(int(x * d) for x in vec) for vec, d in zip(basis, scales))
 
     invariant = cached_property(lambda self: path_count_invariant(self))  # None: the relative graph has an exit
 
 
 def presentation(obj: CLObject) -> Presentation:
-    rel = obj.relative
-    g = rel.graph
-    relations = tuple((v, MonoidElement.of(*[g.rng(e) for e in g.out_edges(v)]))
-                      for v in g.regular_vertices())
-    return Presentation(obj, rel, tuple(sorted(g.vertices)), relations)
+    """The presentation of obj's monoid, built on first call and kept with obj.
+
+    It lives in obj's instance dict, as ``CLObject.relative`` does, so it is
+    not a field: equality, hashing, ``repr`` and pickling ignore it.
+    """
+    pres = obj.__dict__.get("presentation")
+    if pres is None:
+        rel = obj.relative
+        g = rel.graph
+        relations = tuple((v, MonoidElement.of(*[g.rng(e) for e in g.out_edges(v)]))
+                          for v in g.regular_vertices())
+        pres = Presentation(rel, tuple(sorted(g.vertices)), relations)
+        obj.__dict__["presentation"] = pres
+    return pres
 
 
 # -- invariants ----------------------------------------------------------------
 
 
-def path_count_invariant(pres: Presentation) -> Optional[dict]:
+def path_count_invariant(pres: Presentation) -> Optional[Mapping]:
     """Generator -> vector of path counts into each sink/cycle of the relative graph.
 
     Defined exactly when the relative graph is no-exit; the vectors land in
     N^(#sinks + #cycles) and respect every relation, so they induce a monoid
-    map onto a free commutative monoid (an isomorphism in this case).
+    map onto a free commutative monoid (an isomorphism in this case).  The
+    mapping is read-only, since every ``equal`` on the object reads it.
     """
     leavitt = pres.rel.leavitt
     if leavitt.graph.exit_cycle is not None:
         return None
     blocks = blocks_of(leavitt)
     sources = [Counter(q.source for q in b.paths) for b in blocks]
-    return {v: tuple(c[v] for c in sources) for v in sorted(leavitt.graph.vertices)}
+    return MappingProxyType({v: tuple(c[v] for c in sources) for v in sorted(leavitt.graph.vertices)})
 
 
-def invariant_value(invariant: dict, x: MonoidElement) -> tuple:
+def invariant_value(invariant: Mapping, x: MonoidElement) -> tuple:
     size = len(next(iter(invariant.values()))) if invariant else 0
     return tuple(sum(m * invariant[g][i] for g, m in x.counts) for i in range(size))
 
 
-def relations_preserved(pres: Presentation, invariant: dict) -> list:
+def relations_preserved(pres: Presentation, invariant: Mapping) -> list:
     """The relations violated by the invariant (empty list = well-defined)."""
     values = [(v, rhs, invariant_value(invariant, MonoidElement.of(v)), invariant_value(invariant, rhs))
               for v, rhs in pres.relations]
@@ -163,7 +180,7 @@ def equal(pres: Presentation, a: MonoidElement, b: MonoidElement) -> EqualityAns
     support = [(i, x - y) for i, (x, y) in enumerate(zip(pres._exponents(a), pres._exponents(b))) if x != y]
     for functional in pres.functionals:
         if sum(functional[i] * d for i, d in support):
-            return EqualityAnswer("no", separating_functional=tuple(functional))
+            return EqualityAnswer("no", separating_functional=functional)
 
     invariant = pres.invariant
     if invariant is not None:
@@ -365,8 +382,10 @@ def atomic_cancellative_verdict(obj: CLObject) -> MonoidVerdict:
         if bad:
             raise ClassificationBug(f"invariant violates relations: {bad}")
         rank = len(next(iter(invariant.values()))) if invariant else 0
-        return MonoidVerdict(True, invariant, rank, None, "relative graph is no-exit: the monoid is "
-                             f"free commutative on {rank} generators (one per sink and per cycle)")
+        # a plain dict of the caller's own: the presentation's stays read-only
+        return MonoidVerdict(True, dict(invariant), rank, None,
+                             "relative graph is no-exit: the monoid is free commutative "
+                             f"on {rank} generators (one per sink and per cycle)")
     leavitt = pres.rel.leavitt
     witness = cancellation_witness(leavitt, leavitt.graph.exit_cycle)
     return MonoidVerdict(False, None, None, witness,

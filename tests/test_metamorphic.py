@@ -165,12 +165,17 @@ def test_relative_graph_keeps_the_algebra(obj):
 @given(rng=st.randoms(use_true_random=False), data=st.data())
 def test_out_splitting_outside_s_changes_the_signature(rng, data):
     # the negative control: outside S, (SCK2) at v is not imposed, and each v^j
-    # outside S heads a block of its own
-    obj = random_no_exit_object(rng)
+    # outside S heads a block of its own.  A new source x outside S with two or
+    # three edges into a random no-exit object keeps it no-exit and gives the
+    # draw at least one such v, with no draw filtered out.
+    base = random_no_exit_object(rng)
+    targets = data.draw(st.lists(st.sampled_from(sorted(base.graph.vertices)), min_size=2, max_size=3))
+    obj = CLObject(Graph(sorted(base.graph.vertices) + ["x"],
+                         list(base.graph.edges) + [(f"x{i}", "x", w) for i, w in enumerate(targets)]),
+                   base.s_set)
     g = obj.graph
     candidates = [v for v in g.regular_vertices()
                   if v not in obj.s_set and len(g.out_edges(v)) >= 2]
-    assume(candidates)
     v = data.draw(st.sampled_from(candidates))
     groups = _split_groups(data.draw, g.out_edges(v))
     before, after = classify(obj), classify(out_split(obj, v, groups))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clpa.monoid as monoid_mod
 from clpa._linalg import nullspace_basis
 from clpa.errors import NotAnExit
 from clpa.graphs import CLObject, Graph
@@ -35,6 +36,59 @@ from conftest import (
     single_sink,
 )
 from oracles import completion_confluent, move_search
+
+
+class TestMonoidElement:
+    def test_repeated_generators_add_up(self):
+        assert MonoidElement((("a", 1), ("a", 1))) == MonoidElement.of("a", "a")
+        assert MonoidElement((("b", 2), ("a", 1), ("b", 3))).counts == (("a", 1), ("b", 5))
+        assert MonoidElement((("a", 1), ("a", 0))).counts == (("a", 1),)
+        assert MonoidElement.of("a", "b") + MonoidElement.of("a") == MonoidElement.of("b", "a", "a")
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "2", True, None], ids=repr)
+    def test_multiplicity_must_be_an_int(self, m):
+        with pytest.raises(ValueError, match="must be an int"):
+            MonoidElement((("a", m),))
+
+
+class TestOnePresentationPerObject:
+    def test_built_once_and_kept(self):
+        obj = fan(2, s_on=True)
+        assert presentation(obj) is presentation(obj)
+
+    def test_equal_objects_get_their_own(self):
+        # kept in the instance dict, like CLObject.relative: equality, hashing
+        # and repr ignore it
+        a, b = loop_with_exit(), loop_with_exit()
+        pres = presentation(a)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert presentation(b) is not pres and presentation(b) == pres
+
+    @pytest.mark.parametrize("make, gens, free", [(loop_with_exit, ("v", "w"), False),
+                                                  (lambda: fan(2, s_on=True), ("v", "u1"), True)],
+                             ids=["loop_with_exit", "fan2_leavitt"])
+    def test_derived_values_computed_once(self, monkeypatch, make, gens, free):
+        # the verdict and five queries, each on presentation(obj) again, share
+        # one nullspace, one invariant and at most one completion
+        calls = {"_complete": 0, "nullspace_basis": 0, "path_count_invariant": 0}
+
+        def count(name):
+            fn = getattr(monoid_mod, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(monoid_mod, name, counted)
+
+        for name in calls:
+            count(name)
+        obj = make()
+        assert atomic_cancellative_verdict(obj).atomic_cancellative == free
+        x, y = (presentation(obj).element(g) for g in gens)
+        for a, b in [(x, x), (x, y), (x, x + x), (y + y, y), (x + y, y + x)]:
+            assert equal(presentation(obj), a, b).verdict in ("yes", "no")
+        assert calls["_complete"] <= 1
+        assert calls["nullspace_basis"] == calls["path_count_invariant"] == 1
 
 
 class TestPresentation:
@@ -165,8 +219,21 @@ class TestFunctionals:
         # rational nullspace basis is (1/2, 1)
         g = Graph(["a", "b"], [("e1", "b", "a"), ("e2", "b", "a"), ("c", "a", "a")])
         functionals = presentation(CLObject(g, ["a", "b"])).functionals
-        assert functionals == [[1, 2]]
+        assert functionals == ((1, 2),)
         assert all(type(x) is int for vec in functionals for x in vec)
+
+    def test_shared_and_immutable(self):
+        # every equal on the object reads these and the invariant, so none
+        # may write to them
+        pres = presentation(fan(2, s_on=True))
+        functionals = pres.functionals
+        with pytest.raises(TypeError):
+            functionals[0][0] = 5
+        with pytest.raises(TypeError):
+            pres.invariant["v"] = (9, 9)
+        answer = equal(pres, pres.element("u1"), pres.element("u2"))
+        assert answer.separating_functional in functionals
+        assert type(answer.separating_functional) is tuple
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +249,7 @@ def test_int_functionals_are_positive_multiples_of_the_rational_basis(seed, data
         assert all(type(x) is int for x in scaled)
         k = next(i for i, x in enumerate(vec) if x)
         factor = scaled[k] / vec[k]
-        assert factor > 0 and scaled == [factor * x for x in vec]
+        assert factor > 0 and list(scaled) == [factor * x for x in vec]
     elements = st.lists(st.sampled_from(pres.generators), max_size=4).map(
         lambda gens: MonoidElement.of(*gens)
     )
